@@ -399,16 +399,6 @@ Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
 
 std::unique_ptr<gp::Regressor> AskTellCore::hallucinate_pending(
     const std::vector<Vec>& pending) const {
-  if (!cfg_.hallucinate_overlay) {
-    // The materialized deep copy the overlay is proven bit-identical
-    // against; kept reachable so tests and benchmarks can pit the two
-    // paths against each other. Only the exact backend has one.
-    if (const auto* exact =
-            dynamic_cast<const gp::GpRegressor*>(model_.get())) {
-      return std::make_unique<gp::GpRegressor>(
-          exact->with_hallucinated(pending, cfg_.pin_hallucinated_mean));
-    }
-  }
   return model_->hallucinate(pending, cfg_.pin_hallucinated_mean);
 }
 
@@ -604,6 +594,61 @@ void AskTellCore::start_fresh_journal() {
   header.config_hash = config_hash_;
   header.seed = cfg_.seed;
   journal_.append(header.to_payload());
+}
+
+void AskTellCore::restore_checkpoint(const CheckpointFiles& files) {
+  if (files.pristine) {
+    start_fresh_journal();
+    return;
+  }
+  reopen_journal(files.valid_bytes, files.records.size(),
+                 files.snapshot.journal_count);
+  if (files.generation != SnapshotGeneration::None) {
+    restore_snapshot(files.snapshot, files.snapshot_path());
+  }
+}
+
+Observed AskTellCore::replay(const JournalRecord& rec, bool draining) {
+  if (pending_tags_.count(rec.tag) == 0) {
+    throw io::CheckpointError(
+        "journal corrupted: record " + std::to_string(rec.index) +
+        " completes evaluation " + std::to_string(rec.tag) +
+        " which was never issued or is no longer in flight");
+  }
+  if (rec.x != prop_x_[rec.tag]) {
+    throw io::CheckpointError(
+        "journal record " + std::to_string(rec.index) +
+        " does not match this configuration's proposal stream "
+        "(evaluation " + std::to_string(rec.tag) +
+        " replays to a different point) — was the journal written by a "
+        "different configuration or code version?");
+  }
+  Outcome o;
+  if (!sched::parse_eval_status(rec.status, o.status)) {
+    throw io::CheckpointError("journal corrupted: record " +
+                              std::to_string(rec.index) +
+                              " carries unknown eval status \"" +
+                              rec.status + "\"");
+  }
+  o.value = o.status == sched::EvalStatus::Ok
+                ? rec.y
+                : std::numeric_limits<double>::quiet_NaN();
+  o.attempts = rec.attempts;
+  o.worker = rec.worker;
+  o.start = rec.start;
+  o.finish = rec.finish;
+  o.error = rec.error;
+  o.replayed = true;
+  const Observed ob = observe(rec.tag, o, draining);
+  if (rec.action != ob.action) {
+    throw io::CheckpointError(
+        "journal record " + std::to_string(rec.index) + " was applied as \"" +
+        rec.action + "\" by the original run but replays as \"" +
+        ob.action +
+        "\" — the files and this build disagree on failure policy");
+  }
+  obs::count(trace_, "ckpt.replayed");
+  return ob;
 }
 
 void AskTellCore::reopen_journal(std::size_t valid_bytes, std::size_t lines,

@@ -243,12 +243,22 @@ class AskTellCore {
   /// Truncates/creates the journal and writes its header line.
   void start_fresh_journal();
 
-  /// Re-opens an existing journal for appending, truncating a torn tail
-  /// to \p valid_bytes first. \p lines is the number of intact eval
-  /// records it already holds, \p absorbed how many of those the restored
-  /// snapshot has absorbed (the snapshot cadence baseline).
-  void reopen_journal(std::size_t valid_bytes, std::size_t lines,
-                      std::size_t absorbed);
+  /// Applies what read_checkpoint() found under this core's checkpoint
+  /// path: re-opens the journal for appending, truncating a torn tail
+  /// first (or starts a fresh journal when the files are pristine), and
+  /// restores the chosen snapshot generation. The journal tail the
+  /// snapshot has not absorbed is the caller's to feed through replay(),
+  /// in the caller's own completion order.
+  void restore_checkpoint(const CheckpointFiles& files);
+
+  /// Re-applies one journaled outcome during resume. Refuses
+  /// (io::CheckpointError) a record whose tag is not pending, whose x is
+  /// not bit-equal to the proposal this core re-issued under that tag,
+  /// whose status is unknown, or whose journaled action differs from the
+  /// one this core applies. The outcome is observed as replayed: it is
+  /// not journaled again and not counted in live metrics. \p draining as
+  /// for observe().
+  Observed replay(const JournalRecord& record, bool draining = false);
 
   std::size_t journal_lines() const { return journal_lines_; }
   std::size_t lines_at_snapshot() const { return lines_at_snapshot_; }
@@ -280,9 +290,8 @@ class AskTellCore {
   Vec propose_hedge(const std::vector<Vec>& pending);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
 
-  /// The penalization posterior over \p pending: a zero-copy overlay by
-  /// default, or the materialized deep copy when
-  /// BoConfig::hallucinate_overlay is off (bit-identical either way).
+  /// The penalization posterior over \p pending: a zero-copy overlay on
+  /// the model (gp::Regressor::hallucinate).
   std::unique_ptr<gp::Regressor> hallucinate_pending(
       const std::vector<Vec>& pending) const;
 
@@ -294,6 +303,13 @@ class AskTellCore {
   /// model's current hyperparameters) and transplant the result.
   void train_model_via_proxy();
   std::size_t incumbent_index() const;
+
+  /// Re-opens an existing journal for appending, truncating a torn tail
+  /// to \p valid_bytes first. \p lines is the number of intact eval
+  /// records it already holds, \p absorbed how many of those the restored
+  /// snapshot has absorbed (the snapshot cadence baseline).
+  void reopen_journal(std::size_t valid_bytes, std::size_t lines,
+                      std::size_t absorbed);
 
   /// Appends one eval record to the journal (fsync'd). No-op when
   /// journaling is off or the outcome is itself a replay.

@@ -349,11 +349,10 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   put(s, "kernel", config.kernel);
   // The surrogate backend and its knobs shape every post-init proposal, so
   // a checkpoint taken under one backend refuses to resume under another.
-  // (hallucinate_overlay is deliberately absent: both hallucination paths
-  // produce bit-identical streams. adapt_refit_cadence/adapt_refit_budget
-  // are absent too: the adaptive schedule is wall-clock driven — never
-  // reproducible across machines anyway — and the schedule state itself
-  // rides in snapshots via next_hyper_refit, so resume stays coherent.)
+  // (adapt_refit_cadence/adapt_refit_budget are absent: the adaptive
+  // schedule is wall-clock driven — never reproducible across machines
+  // anyway — and the schedule state itself rides in snapshots via
+  // next_hyper_refit, so resume stays coherent.)
   put(s, "gp_backend", config.gp_backend);
   put_u(s, "rff_features", config.rff_features);
   put_u(s, "rff_train_subset", config.rff_train_subset);
@@ -389,12 +388,133 @@ std::uint64_t config_fingerprint(const BoConfig& config,
   return fnv1a(s);
 }
 
+std::uint64_t supervisor_seed(std::uint64_t seed) {
+  return seed ^ 0x5AFEB0FFu;
+}
+
 std::string journal_file(const std::string& base) {
   return base + ".journal";
 }
 
 std::string snapshot_file(const std::string& base) {
   return base + ".snapshot";
+}
+
+std::string fallback_snapshot_file(const std::string& base) {
+  return base + ".snapshot.old";
+}
+
+// ---------------------------------------------------------------------------
+// The checkpoint loader
+// ---------------------------------------------------------------------------
+
+namespace {
+
+enum class SnapLoad { Missing, Damaged, Ok };
+
+/// Loads one snapshot generation. Missing and framing-level damage (torn
+/// or unreadable: everything a crashed replace can leave behind) are
+/// reported for the caller to fall back on; a frame whose checksum holds
+/// but whose JSON does not is corruption no torn write produces, and that
+/// parse error propagates as a refusal.
+SnapLoad load_snapshot(const std::string& path, BoCheckpoint& out) {
+  if (!io::file_exists(path)) return SnapLoad::Missing;
+  io::JournalReadResult sr;
+  try {
+    sr = io::read_journal(path);
+  } catch (const io::CheckpointError&) {
+    return SnapLoad::Damaged;
+  }
+  if (sr.payloads.size() != 1 || sr.torn_tail) return SnapLoad::Damaged;
+  out = BoCheckpoint::parse(sr.payloads.front());
+  return SnapLoad::Ok;
+}
+
+void check_fingerprint(const char* kind, const std::string& path,
+                       std::uint64_t found, std::uint64_t expected) {
+  if (found == expected) return;
+  throw io::CheckpointError(
+      std::string("checkpoint config mismatch: ") + kind + " " + path +
+      " was written with config fingerprint " + io::json_u64(found) +
+      " but this configuration has fingerprint " + io::json_u64(expected) +
+      "; resuming would splice two different proposal streams");
+}
+
+}  // namespace
+
+std::string CheckpointFiles::snapshot_path() const {
+  switch (generation) {
+    case SnapshotGeneration::Primary: return snapshot_file(base);
+    case SnapshotGeneration::Fallback: return fallback_snapshot_file(base);
+    case SnapshotGeneration::None: break;
+  }
+  return "";
+}
+
+CheckpointFiles read_checkpoint(const std::string& base,
+                                std::uint64_t config_hash) {
+  CheckpointFiles files;
+  files.base = base;
+  const std::string jpath = journal_file(base);
+  if (!io::file_exists(jpath)) {
+    throw io::CheckpointError("cannot resume: no journal at " + jpath);
+  }
+  const io::JournalReadResult jr = io::read_journal(jpath);
+  if (jr.payloads.empty()) {
+    // No intact header. Appends are sequential and a failed append rolls
+    // the file back, so nothing can ever have been journaled, and no
+    // snapshot is written before the header. With no snapshot generation
+    // either, nothing was ever observable. A surviving snapshot beside a
+    // headerless journal is real corruption.
+    if (!io::file_exists(snapshot_file(base)) &&
+        !io::file_exists(fallback_snapshot_file(base))) {
+      files.pristine = true;
+      return files;
+    }
+    throw io::CheckpointError("cannot resume: journal at " + jpath +
+                              " holds no intact header line");
+  }
+  const JournalHeader header = JournalHeader::parse(jr.payloads.front());
+  check_fingerprint("journal", jpath, header.config_hash, config_hash);
+  files.records.reserve(jr.payloads.size() - 1);
+  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
+    JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
+    if (rec.index != files.records.size()) {
+      throw io::CheckpointError(
+          "journal corrupted: line " + std::to_string(i + 1) + " of " +
+          jpath + " carries record index " + std::to_string(rec.index) +
+          " where " + std::to_string(files.records.size()) +
+          " was expected");
+    }
+    files.records.push_back(std::move(rec));
+  }
+  files.valid_bytes = jr.valid_bytes;
+  files.torn_tail = jr.torn_tail;
+
+  const SnapLoad primary = load_snapshot(snapshot_file(base), files.snapshot);
+  if (primary == SnapLoad::Ok) {
+    files.generation = SnapshotGeneration::Primary;
+  } else {
+    files.primary_damaged = primary == SnapLoad::Damaged;
+    if (load_snapshot(fallback_snapshot_file(base), files.snapshot) ==
+        SnapLoad::Ok) {
+      files.generation = SnapshotGeneration::Fallback;
+    }
+  }
+  if (files.generation == SnapshotGeneration::None) return files;
+
+  const std::string spath = files.snapshot_path();
+  check_fingerprint("snapshot", spath, files.snapshot.config_hash,
+                    config_hash);
+  if (files.snapshot.journal_count > files.records.size()) {
+    throw io::CheckpointError(
+        "snapshot " + spath + " absorbs " +
+        std::to_string(files.snapshot.journal_count) +
+        " evaluations but journal " + jpath + " holds only " +
+        std::to_string(files.records.size()) +
+        " — the files do not belong to the same run");
+  }
+  return files;
 }
 
 }  // namespace easybo::bo

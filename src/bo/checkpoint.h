@@ -22,8 +22,9 @@
 /// bit-identical to the uninterrupted run — that is the headline
 /// guarantee, enforced by tests/test_checkpoint.cpp.
 ///
-/// This header is engine-internal plumbing (BoEngine is the public
-/// surface); it is exposed for tests and tooling.
+/// BoEngine::resume and serve::Session::resume both resume through
+/// read_checkpoint() below and AskTellCore::replay(); each adds only its
+/// own policy. The header is exposed for tests and tooling too.
 
 #include <cstdint>
 #include <string>
@@ -123,8 +124,55 @@ struct BoCheckpoint {
 std::uint64_t config_fingerprint(const BoConfig& config,
                                  const opt::Bounds& bounds);
 
-/// File layout under a BoConfig::checkpoint_path base.
+/// Seed of the supervisor's retry-jitter stream for a run seeded with
+/// \p seed: decorrelated from the proposal stream so supervision never
+/// perturbs it. Snapshots carry this stream (BoCheckpoint::sup_rng).
+std::uint64_t supervisor_seed(std::uint64_t seed);
+
+/// File layout under a BoConfig::checkpoint_path base. The fallback is
+/// the previous snapshot generation a served session rotates aside
+/// before each rewrite (src/serve/session.h).
 std::string journal_file(const std::string& base);
 std::string snapshot_file(const std::string& base);
+std::string fallback_snapshot_file(const std::string& base);
+
+/// Which snapshot generation a resume restores.
+enum class SnapshotGeneration { None, Primary, Fallback };
+
+/// What one resume reads from the files under a checkpoint base, checked
+/// against one configuration fingerprint (read_checkpoint()), for
+/// AskTellCore::restore_checkpoint() to apply.
+struct CheckpointFiles {
+  std::string base;  ///< the checkpoint base the files live under
+  /// The journal holds no intact header and no snapshot generation
+  /// exists: the wreckage of a crash before the header became durable.
+  /// Nothing was ever evaluated, so the run starts afresh.
+  bool pristine = false;
+  std::vector<JournalRecord> records;  ///< every intact record, in order
+  std::size_t valid_bytes = 0;  ///< journal prefix before a torn tail
+  bool torn_tail = false;
+  SnapshotGeneration generation = SnapshotGeneration::None;
+  /// "<base>.snapshot" exists but is torn or unreadable.
+  bool primary_damaged = false;
+  /// The chosen generation; default (journal_count 0) when None.
+  BoCheckpoint snapshot;
+
+  /// Path of the chosen generation; empty when None.
+  std::string snapshot_path() const;
+};
+
+/// The one checkpoint loader behind BoEngine::resume and
+/// serve::Session::resume (docs/checkpoint-format.md, "Resume
+/// semantics"). Reads "<base>.journal" once and validates its header
+/// fingerprint and record indices, then picks the snapshot generation:
+/// "<base>.snapshot", else "<base>.snapshot.old", else none. A
+/// generation that is missing, torn or unreadable is passed over; one
+/// whose checksum holds but whose JSON does not is refused. Checks the
+/// chosen snapshot's fingerprint and that it has not absorbed more
+/// records than the journal holds. Touches no file. Throws
+/// io::CheckpointError on every refusal; whether a missing or damaged
+/// snapshot is fatal is the caller's policy.
+CheckpointFiles read_checkpoint(const std::string& base,
+                                std::uint64_t config_hash);
 
 }  // namespace easybo::bo

@@ -131,13 +131,6 @@ struct BoConfig {
   /// existing journals and golden sequences keep reproducing.
   /// Fingerprinted.
   bool pin_hallucinated_mean = false;
-  /// Serve hallucinated posteriors as zero-copy overlays over the base
-  /// model's factor instead of deep-copied augmented models. Bit-identical
-  /// proposal streams either way (the overlay replays the materialized
-  /// arithmetic element for element) — this switch only exists so tests
-  /// and benchmarks can pit the two paths against each other. Not
-  /// fingerprinted: flipping it never changes a proposal.
-  bool hallucinate_overlay = true;
   std::uint64_t seed = 1;
   /// Collect the observability report (src/obs) into BoResult::metrics:
   /// per-phase timers, Cholesky refactor/extend + dedup + refit counters,
@@ -201,6 +194,12 @@ struct BoConfig {
   /// Throws InvalidArgument when the combination is inconsistent.
   void validate() const;
 };
+
+/// Workers a run occupies on its default virtual-time executor: one in
+/// Sequential mode (it issues one point at a time), `batch` otherwise.
+inline std::size_t worker_slots(const BoConfig& config) {
+  return config.mode == Mode::Sequential ? 1 : config.batch;
+}
 
 /// Builds the GP prior for a run: the configured kernel with lengthscales
 /// started at 0.3 (moderate for unit-cube inputs). Every execution mode

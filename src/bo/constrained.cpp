@@ -79,8 +79,7 @@ ConstrainedResult run_constrained_bo(
                  "constrained mode supports Sequential and AsyncBatch");
 
   const std::size_t dim = bounds.dim();
-  const std::size_t workers =
-      config.mode == Mode::Sequential ? 1 : config.batch;
+  const std::size_t workers = worker_slots(config);
   Rng rng(config.seed);
   gp::BoxNormalizer box(bounds.lower, bounds.upper);
   auto sim = sim_time ? sim_time : [](const Vec&) { return 1.0; };

@@ -1,37 +1,12 @@
 #include "bo/engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/error.h"
-#include "io/json.h"
 
 namespace easybo::bo {
-
-namespace {
-
-sched::EvalStatus eval_status_from(const std::string& name,
-                                   std::size_t record_index) {
-  if (name == "ok") return sched::EvalStatus::Ok;
-  if (name == "exception") return sched::EvalStatus::Exception;
-  if (name == "timeout") return sched::EvalStatus::Timeout;
-  if (name == "non_finite") return sched::EvalStatus::NonFinite;
-  throw io::CheckpointError("journal corrupted: record " +
-                            std::to_string(record_index) +
-                            " carries unknown eval status \"" + name + "\"");
-}
-
-bool same_point(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 BoEngine::BoEngine(BoConfig config, opt::Bounds bounds,
                    opt::Objective objective,
@@ -51,9 +26,7 @@ void BoEngine::set_trace(obs::TraceSink* sink) {
 }
 
 BoResult BoEngine::run() {
-  const std::size_t workers =
-      (cfg().mode == Mode::Sequential) ? 1 : cfg().batch;
-  sched::VirtualExecutor exec(workers);
+  sched::VirtualExecutor exec(worker_slots(cfg()));
   return run(exec);
 }
 
@@ -71,22 +44,20 @@ BoResult BoEngine::run(sched::Executor& exec) {
   scfg.backoff_max = cfg().eval_backoff_max;
   scfg.backoff_jitter = cfg().eval_backoff_jitter;
   scfg.retry_timeouts = cfg().eval_retry_timeouts;
-  // Decorrelated from the proposal stream's RNG so supervision never
-  // perturbs it; deterministic per seed so retried runs reproduce.
-  scfg.seed = cfg().seed ^ 0x5AFEB0FFu;
+  // Deterministic per seed so retried runs reproduce.
+  scfg.seed = supervisor_seed(cfg().seed);
   sched::EvalSupervisor sup(exec, scfg, trace_);
-  BoResult result;
 
   if (core_.journaling()) {
     if (resumed_) {
-      restore(sup, result);
+      restore(sup);
     } else {
       core_.start_fresh_journal();
     }
   }
 
   if (!core_.init_done()) {
-    run_init_phase(sup, result);
+    run_init_phase(sup);
     if (!stop_requested()) {
       // Throws the all-initial-evaluations-failed error when there is
       // nothing to build a model from.
@@ -96,16 +67,17 @@ BoResult BoEngine::run(sched::Executor& exec) {
 
   if (!stop_requested()) {
     switch (cfg().mode) {
-      case Mode::Sequential: run_sequential(sup, result); break;
-      case Mode::SyncBatch: run_sync_batch(sup, result); break;
-      case Mode::AsyncBatch: run_async_batch(sup, result); break;
+      case Mode::Sequential: run_sequential(sup); break;
+      case Mode::SyncBatch: run_sync_batch(sup); break;
+      case Mode::AsyncBatch: run_async_batch(sup); break;
     }
   }
   // A stop at a phase boundary can leave init evaluations in flight:
   // drain them so the journal is complete and the final snapshot carries
   // no pending work it does not have to.
-  if (stop_requested()) drain_all(sup, result);
+  if (stop_requested()) drain_all(sup);
 
+  BoResult result;
   result.evals = std::move(core_.evals());
   result.makespan = std::max(exec.now(), last_replay_finish_);
   result.total_sim_time = busy_base_ + exec.total_busy_time();
@@ -126,9 +98,7 @@ BoResult BoEngine::run(sched::Executor& exec) {
 }
 
 BoResult BoEngine::resume(const std::string& path) {
-  const std::size_t workers =
-      (cfg().mode == Mode::Sequential) ? 1 : cfg().batch;
-  sched::VirtualExecutor exec(workers);
+  sched::VirtualExecutor exec(worker_slots(cfg()));
   return resume(path, exec);
 }
 
@@ -145,7 +115,7 @@ BoResult BoEngine::resume(const std::string& path, sched::Executor& exec) {
 // Phases: each is one pump schedule over the core's suggest/observe.
 // ---------------------------------------------------------------------------
 
-void BoEngine::run_init_phase(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_init_phase(sched::EvalSupervisor& sup) {
   // All modes push the init points through the executor greedily —
   // identical schedules keep the wall-clock comparison between algorithms
   // fair. The InitDesign span covers the whole phase, waits included.
@@ -161,20 +131,20 @@ void BoEngine::run_init_phase(sched::EvalSupervisor& sup, BoResult& result) {
       submit(sup);
     }
     if (num_outstanding(sup) == 0) break;  // budget exhausted by failures
-    observe_arrival(await_one(sup), result);
+    observe_next(sup);
   }
 }
 
-void BoEngine::run_sequential(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_sequential(sched::EvalSupervisor& sup) {
   while (core_.issued() < cfg().max_sims && !stop_requested()) {
     maybe_checkpoint(sup);
     if (!can_submit(sup)) break;  // the only worker is hung
     submit(sup);
-    observe_arrival(await_one(sup), result);
+    observe_next(sup);
   }
 }
 
-void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_sync_batch(sched::EvalSupervisor& sup) {
   while (core_.issued() < cfg().max_sims && !stop_requested()) {
     maybe_checkpoint(sup);
     const std::size_t remaining = cfg().max_sims - core_.issued();
@@ -190,13 +160,11 @@ void BoEngine::run_sync_batch(sched::EvalSupervisor& sup, BoResult& result) {
     // hallucinating the slots selected so far (its pending set grows with
     // every suggestion), and defers the model refresh to the barrier.
     for (std::size_t slot = 0; slot < k; ++slot) submit(sup);
-    while (num_outstanding(sup) > 0) {
-      observe_arrival(await_one(sup), result);
-    }
+    while (num_outstanding(sup) > 0) observe_next(sup);
   }
 }
 
-void BoEngine::run_async_batch(sched::EvalSupervisor& sup, BoResult& result) {
+void BoEngine::run_async_batch(sched::EvalSupervisor& sup) {
   // Fill the pool (Algorithm 1 bootstraps with B in-flight points). On
   // resume the in-flight set restored from the snapshot already occupies
   // its logical worker slots.
@@ -210,7 +178,7 @@ void BoEngine::run_async_batch(sched::EvalSupervisor& sup, BoResult& result) {
   // worker with the still-running points as pseudo-observations.
   while (num_outstanding(sup) > 0) {
     maybe_checkpoint(sup);
-    observe_arrival(await_one(sup), result);
+    observe_next(sup);
     // can_submit: a wall-clock timeout frees no slot (the hung objective
     // still occupies it), so its replacement waits for the next genuinely
     // idle worker. Always true when nothing timed out.
@@ -252,17 +220,29 @@ void BoEngine::submit(sched::EvalSupervisor& sup) {
       s.duration);
 }
 
-void BoEngine::observe_arrival(const Arrived& a, BoResult& result,
-                               bool draining) {
-  (void)result;  // records accumulate in the core; moved out at run() end
-  const sched::SupervisedCompletion& sc = a.sc;
+void BoEngine::observe_next(sched::EvalSupervisor& sup, bool draining) {
+  if (!replay_.empty()) {
+    // Resume replay: the next journaled outcome, in original completion
+    // order, stands in for a real evaluation.
+    const JournalRecord rec = std::move(replay_.front());
+    replay_.pop_front();
+    replay_tags_.erase(rec.tag);
+    replay_awaiting_.erase(rec.tag);
+    last_replay_finish_ = rec.finish;
+    core_.replay(rec, draining);
+    // The original run drew one backoff jitter per relaunch from the
+    // supervisor's stream; consume the same draws so the stream position
+    // stays aligned.
+    sup.replay_retries(rec.attempts);
+    return;
+  }
+  const sched::SupervisedCompletion sc = timed_wait(sup);
   const sched::Completion& c = sc.completion;
-  if (trace_ != nullptr && !a.replayed) {
+  if (trace_ != nullptr) {
     // Executor-clock duration: virtual seconds on a VirtualExecutor, wall
     // seconds on real threads; spans retries and backoff. Not a
     // ScopedTimer — the evaluation already happened inside the executor;
-    // this books its reported span. Replayed completions book nothing:
-    // this process never ran them (metrics cover the current process).
+    // this books its reported span.
     trace_->add_time(obs::Phase::ObjectiveEval, c.finish - c.start);
   }
   Outcome o;
@@ -270,13 +250,17 @@ void BoEngine::observe_arrival(const Arrived& a, BoResult& result,
   o.value = c.value;
   o.attempts = sc.attempts;
   o.worker = c.worker;
-  o.start = a.start_abs;
-  o.finish = a.finish_abs;
+  o.start = c.start;
+  o.finish = c.finish;
   o.error = sc.error;
   o.exception = sc.exception;
-  o.replayed = a.replayed;
+  if (restored_real_.erase(c.tag) != 0) {
+    // Re-submitted in-flight work: the executor saw only its remainder;
+    // its true start is the original submission time.
+    o.start = core_.proposal_submit_time(c.tag);
+  }
   const Observed ob = core_.observe(c.tag, o, draining);
-  if (!a.replayed) log_eval(sc, ob.action);
+  log_eval(sc, ob.action);
 }
 
 void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
@@ -315,85 +299,25 @@ double BoEngine::effective_duration(double duration) const {
   return duration;
 }
 
-void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
-  (void)result;  // the eval prefix is rebuilt into the core's records
-  const std::string jpath = journal_file(cfg().checkpoint_path);
-  const std::string spath = snapshot_file(cfg().checkpoint_path);
-  if (!io::file_exists(jpath)) {
-    throw io::CheckpointError("cannot resume: no journal at " + jpath);
-  }
-  const io::JournalReadResult jr = io::read_journal(jpath);
-  if (jr.payloads.empty()) {
-    throw io::CheckpointError("cannot resume: journal at " + jpath +
-                              " holds no intact header line");
-  }
-  const JournalHeader header = JournalHeader::parse(jr.payloads.front());
-  if (header.config_hash != core_.config_hash()) {
+void BoEngine::restore(sched::EvalSupervisor& sup) {
+  const CheckpointFiles files =
+      read_checkpoint(cfg().checkpoint_path, core_.config_hash());
+  if (files.primary_damaged &&
+      files.generation == SnapshotGeneration::None) {
+    // A missing snapshot only means the whole journal replays; a damaged
+    // one is a failing disk or an edited file, and the engine never
+    // rotates a previous generation aside to fall back on.
     throw io::CheckpointError(
-        "checkpoint config mismatch: journal " + jpath +
-        " was written with config fingerprint " +
-        io::json_u64(header.config_hash) +
-        " but this engine is configured with fingerprint " +
-        io::json_u64(core_.config_hash()) +
-        "; resuming would splice two different proposal streams");
+        "snapshot " + snapshot_file(cfg().checkpoint_path) +
+        " is damaged (expected exactly one intact framed line)");
   }
-  std::vector<JournalRecord> records;
-  records.reserve(jr.payloads.size() - 1);
-  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
-    JournalRecord rec = JournalRecord::parse(jr.payloads[i]);
-    if (rec.index != records.size()) {
-      throw io::CheckpointError(
-          "journal corrupted: line " + std::to_string(i + 1) + " of " +
-          jpath + " carries record index " + std::to_string(rec.index) +
-          " where " + std::to_string(records.size()) + " was expected");
-    }
-    records.push_back(std::move(rec));
-  }
-
-  BoCheckpoint snap;
-  const bool have_snap = io::file_exists(spath);
-  if (have_snap) {
-    const io::JournalReadResult sr = io::read_journal(spath);
-    if (sr.payloads.size() != 1 || sr.torn_tail) {
-      throw io::CheckpointError(
-          "snapshot " + spath +
-          " is damaged (expected exactly one intact framed line)");
-    }
-    snap = BoCheckpoint::parse(sr.payloads.front());
-    if (snap.config_hash != core_.config_hash()) {
-      throw io::CheckpointError(
-          "checkpoint config mismatch: snapshot " + spath +
-          " was written with config fingerprint " +
-          io::json_u64(snap.config_hash) +
-          " but this engine is configured with fingerprint " +
-          io::json_u64(core_.config_hash()));
-    }
-    if (snap.journal_count > records.size()) {
-      throw io::CheckpointError(
-          "snapshot " + spath + " absorbs " +
-          std::to_string(snap.journal_count) + " evaluations but journal " +
-          jpath + " holds only " + std::to_string(records.size()) +
-          " — the files do not belong to the same run");
-    }
-  }
-
-  // Re-open for appending, truncating any torn tail first: those bytes
-  // are a record that never became durable and will be rewritten by the
-  // replay when it reaches that evaluation again.
-  core_.reopen_journal(jr.valid_bytes, records.size(),
-                       have_snap ? snap.journal_count : 0);
-
-  // Stage the journal tail — everything the snapshot has not absorbed —
-  // for replay through the normal loop.
-  for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
-    replay_tags_.insert(records[i].tag);
-    replay_.push_back(std::move(records[i]));
-  }
+  core_.restore_checkpoint(files);
+  const BoCheckpoint& snap = files.snapshot;
 
   // Rebuild the eval-record prefix for the absorbed records (the replayed
-  // tail re-enters the core's records through observe).
+  // tail re-enters the core's records through replay()).
   for (std::size_t i = 0; i < snap.journal_count; ++i) {
-    const JournalRecord& jrec = records[i];
+    const JournalRecord& jrec = files.records[i];
     if (jrec.action == "abort") continue;  // aborts never made an EvalRecord
     EvalRecord rec;
     rec.x = core_.to_design(jrec.x);
@@ -408,10 +332,16 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
     core_.evals().push_back(std::move(rec));
   }
 
+  // Stage the journal tail — everything the snapshot has not absorbed —
+  // for replay through the normal loop.
+  for (std::size_t i = snap.journal_count; i < files.records.size(); ++i) {
+    replay_tags_.insert(files.records[i].tag);
+    replay_.push_back(files.records[i]);
+  }
+
   std::size_t resubmitted = 0;
-  if (have_snap) {
+  if (files.generation != SnapshotGeneration::None) {
     sup.set_rng_state(snap.sup_rng);
-    core_.restore_snapshot(snap, spath);
     last_replay_finish_ = snap.now;
     sup.advance_clock(snap.now);  // continue on the original clock
     busy_base_ = snap.busy;
@@ -448,69 +378,12 @@ void BoEngine::restore(sched::EvalSupervisor& sup, BoResult& result) {
       std::to_string(snap.journal_count) + " evaluations restored, " +
       std::to_string(replay_.size()) + " replayed from the journal, " +
       std::to_string(resubmitted) + " re-submitted" +
-      (jr.torn_tail ? "; dropped a torn final journal line" : "");
+      (files.torn_tail ? "; dropped a torn final journal line" : "");
   obs::count(trace_, "ckpt.resumes");
 }
 
-BoEngine::Arrived BoEngine::await_one(sched::EvalSupervisor& sup) {
-  Arrived a;
-  if (!replay_.empty()) {
-    JournalRecord rec = std::move(replay_.front());
-    replay_.pop_front();
-    replay_tags_.erase(rec.tag);
-    if (rec.tag >= core_.num_proposals() ||
-        core_.pending_tags().count(rec.tag) == 0) {
-      throw io::CheckpointError(
-          "journal corrupted: record " + std::to_string(rec.index) +
-          " completes evaluation " + std::to_string(rec.tag) +
-          " which the deterministic replay never issued");
-    }
-    if (!same_point(rec.x, core_.proposal(rec.tag))) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " does not match this configuration's proposal stream "
-          "(evaluation " + std::to_string(rec.tag) +
-          " replays to a different point) — was the journal written by a "
-          "different configuration or code version?");
-    }
-    replay_awaiting_.erase(rec.tag);
-    a.replayed = true;
-    a.start_abs = rec.start;
-    a.finish_abs = rec.finish;
-    last_replay_finish_ = rec.finish;
-    a.sc.completion.tag = rec.tag;
-    a.sc.completion.worker = rec.worker;
-    a.sc.completion.start = rec.start;
-    a.sc.completion.finish = rec.finish;
-    a.sc.status = eval_status_from(rec.status, rec.index);
-    a.sc.completion.value =
-        a.sc.ok() ? rec.y : std::numeric_limits<double>::quiet_NaN();
-    a.sc.attempts = rec.attempts;
-    a.sc.error = std::move(rec.error);
-    // The original run drew one backoff jitter per relaunch from the
-    // supervisor's stream; consume the same draws so the stream position
-    // stays aligned.
-    sup.replay_retries(a.sc.attempts);
-    obs::count(trace_, "ckpt.replayed");
-    return a;
-  }
-  a.sc = timed_wait(sup);
-  a.start_abs = a.sc.completion.start;
-  a.finish_abs = a.sc.completion.finish;
-  const auto it = restored_real_.find(a.sc.completion.tag);
-  if (it != restored_real_.end()) {
-    // Re-submitted in-flight work: the executor saw only its remainder;
-    // its true start is the original submission time.
-    a.start_abs = core_.proposal_submit_time(a.sc.completion.tag);
-    restored_real_.erase(it);
-  }
-  return a;
-}
-
-void BoEngine::drain_all(sched::EvalSupervisor& sup, BoResult& result) {
-  while (num_outstanding(sup) > 0) {
-    observe_arrival(await_one(sup), result, /*draining=*/true);
-  }
+void BoEngine::drain_all(sched::EvalSupervisor& sup) {
+  while (num_outstanding(sup) > 0) observe_next(sup, /*draining=*/true);
 }
 
 void BoEngine::maybe_checkpoint(sched::EvalSupervisor& sup) {

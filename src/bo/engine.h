@@ -118,36 +118,26 @@ class BoEngine {
   obs::TraceSink* trace() const { return trace_; }
 
  private:
-  /// One terminal evaluation outcome as delivered to observe_arrival():
-  /// either a real supervised completion or a journaled one re-enacted
-  /// during resume replay. start_abs/finish_abs are on the run's logical
-  /// clock — for replayed records the exact original times from the
-  /// journal, so no floating-point round trip can perturb them.
-  struct Arrived {
-    sched::SupervisedCompletion sc;
-    bool replayed = false;
-    double start_abs = 0.0;
-    double finish_abs = 0.0;
-  };
-
   const BoConfig& cfg() const { return core_.config(); }
 
   // --- run phases ---------------------------------------------------------
-  void run_init_phase(sched::EvalSupervisor& sup, BoResult& result);
-  void run_sequential(sched::EvalSupervisor& sup, BoResult& result);
-  void run_sync_batch(sched::EvalSupervisor& sup, BoResult& result);
-  void run_async_batch(sched::EvalSupervisor& sup, BoResult& result);
+  void run_init_phase(sched::EvalSupervisor& sup);
+  void run_sequential(sched::EvalSupervisor& sup);
+  void run_sync_batch(sched::EvalSupervisor& sup);
+  void run_async_batch(sched::EvalSupervisor& sup);
 
   /// Pulls the next suggestion out of the core and hands it to the
   /// supervisor — unless its tag is covered by resume replay, in which
-  /// case the already-durable outcome will be delivered by await_one()
+  /// case the already-durable outcome will be delivered by observe_next()
   /// and only the logical worker-slot accounting happens here.
   void submit(sched::EvalSupervisor& sup);
 
-  /// Feeds one arrival into the core (books the ObjectiveEval span and
-  /// the per-eval log around it). Abort policy rethrows out of here.
-  void observe_arrival(const Arrived& a, BoResult& result,
-                       bool draining = false);
+  /// Feeds the next terminal outcome into the core: the front of the
+  /// replay queue while resume replay is in progress (AskTellCore::
+  /// replay), else a real supervised completion (booking the
+  /// ObjectiveEval span and the per-eval log around it). Abort policy
+  /// rethrows out of here. \p draining as for AskTellCore::observe.
+  void observe_next(sched::EvalSupervisor& sup, bool draining = false);
 
   /// Appends one entry to the per-eval outcome log (metrics "evals").
   void log_eval(const sched::SupervisedCompletion& sc, const char* action);
@@ -196,17 +186,15 @@ class BoEngine {
   /// per-attempt deadline exactly as the supervisor cuts it.
   double effective_duration(double duration) const;
 
-  /// Loads snapshot + journal, restores core state, stages the journal
-  /// tail for replay and re-submits genuinely in-flight work.
-  void restore(sched::EvalSupervisor& sup, BoResult& result);
-
-  /// Next terminal outcome: the front of the replay queue while resume
-  /// replay is in progress, a real supervised wait otherwise.
-  Arrived await_one(sched::EvalSupervisor& sup);
+  /// The engine's resume policy over read_checkpoint(): refuses a
+  /// damaged snapshot (a missing one replays the whole journal), restores
+  /// the core, rebuilds the eval-record prefix, stages the journal tail
+  /// for replay, aligns the clock and re-submits genuinely in-flight work.
+  void restore(sched::EvalSupervisor& sup);
 
   /// Drains every outstanding evaluation without model updates (the init
   /// phase / graceful-stop semantics).
-  void drain_all(sched::EvalSupervisor& sup, BoResult& result);
+  void drain_all(sched::EvalSupervisor& sup);
 
   /// Writes a snapshot when the cadence says so (checkpoint_every new
   /// journal lines since the last one; never during replay).

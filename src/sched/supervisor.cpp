@@ -21,6 +21,18 @@ const char* to_string(EvalStatus status) {
   return "?";
 }
 
+bool parse_eval_status(std::string_view name, EvalStatus& out) {
+  for (const EvalStatus status : {EvalStatus::Ok, EvalStatus::Exception,
+                                  EvalStatus::Timeout,
+                                  EvalStatus::NonFinite}) {
+    if (name == to_string(status)) {
+      out = status;
+      return true;
+    }
+  }
+  return false;
+}
+
 void SupervisorConfig::validate() const {
   EASYBO_REQUIRE(backoff_init >= 0.0, "backoff_init must be >= 0");
   EASYBO_REQUIRE(backoff_factor >= 1.0, "backoff_factor must be >= 1");

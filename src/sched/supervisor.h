@@ -42,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +63,9 @@ enum class EvalStatus {
 /// Stable snake_case name ("ok", "exception", "timeout", "non_finite");
 /// also the status string in the metrics eval log.
 const char* to_string(EvalStatus status);
+
+/// Inverse of to_string(): false when \p name names no status.
+bool parse_eval_status(std::string_view name, EvalStatus& out);
 
 /// Supervision knobs. The defaults make the supervisor a pass-through.
 struct SupervisorConfig {

@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -14,50 +13,13 @@ using linalg::Vec;
 namespace {
 
 sched::EvalStatus failure_status_from(const std::string& name) {
-  if (name == "exception") return sched::EvalStatus::Exception;
-  if (name == "timeout") return sched::EvalStatus::Timeout;
-  if (name == "non_finite") return sched::EvalStatus::NonFinite;
-  throw Error("observe: unknown failure status \"" + name +
-              "\" (expected exception|timeout|non_finite)");
-}
-
-sched::EvalStatus replay_status_from(const std::string& name,
-                                     std::size_t record_index) {
-  if (name == "ok") return sched::EvalStatus::Ok;
-  if (name == "exception") return sched::EvalStatus::Exception;
-  if (name == "timeout") return sched::EvalStatus::Timeout;
-  if (name == "non_finite") return sched::EvalStatus::NonFinite;
-  throw io::CheckpointError("journal corrupted: record " +
-                            std::to_string(record_index) +
-                            " carries unknown eval status \"" + name + "\"");
-}
-
-bool same_point(const Vec& a, const Vec& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
+  sched::EvalStatus status = sched::EvalStatus::Ok;
+  if (!sched::parse_eval_status(name, status) ||
+      status == sched::EvalStatus::Ok) {
+    throw Error("observe: unknown failure status \"" + name +
+                "\" (expected exception|timeout|non_finite)");
   }
-  return true;
-}
-
-enum class SnapLoad { Missing, Damaged, Ok };
-
-/// Loads one snapshot generation. Missing and framing-level damage (torn
-/// or unreadable — everything a crashed replace can leave behind) are
-/// reported for the caller to fall back on; a frame whose checksum holds
-/// but whose JSON does not is corruption no torn write produces, and that
-/// parse error propagates as the hard refusal it deserves.
-SnapLoad load_snapshot(const std::string& path, bo::BoCheckpoint& out) {
-  if (!io::file_exists(path)) return SnapLoad::Missing;
-  io::JournalReadResult sr;
-  try {
-    sr = io::read_journal(path);
-  } catch (const io::CheckpointError&) {
-    return SnapLoad::Damaged;
-  }
-  if (sr.payloads.size() != 1 || sr.torn_tail) return SnapLoad::Damaged;
-  out = bo::BoCheckpoint::parse(sr.payloads.front());
-  return SnapLoad::Ok;
+  return status;
 }
 
 }  // namespace
@@ -69,7 +31,7 @@ Session::Session(std::string name, SessionSpec spec)
   // the supervisor jitter stream. A hosted session never retries (the
   // client reports one terminal outcome per tag), so the stream stays at
   // the state the engine would have seeded it with.
-  Rng sup(core_.config().seed ^ 0x5AFEB0FFu);
+  Rng sup(bo::supervisor_seed(core_.config().seed));
   sup_rng_ = sup.save();
 }
 
@@ -91,154 +53,43 @@ std::unique_ptr<Session> Session::resume(std::string name, SessionSpec spec,
       new Session(std::move(name), std::move(spec)));
   bo::AskTellCore& core = s->core_;
   core.set_checkpoint_path(checkpoint_base);
-
-  const std::string jpath = bo::journal_file(checkpoint_base);
-  const std::string spath = bo::snapshot_file(checkpoint_base);
-  if (!io::file_exists(jpath)) {
-    throw io::CheckpointError("cannot resume: no journal at " + jpath);
-  }
-  const io::JournalReadResult jr = io::read_journal(jpath);
-  if (jr.payloads.empty()) {
-    // No intact header. Appends are sequential and a failed append rolls
-    // the file back, so nothing can ever have been journaled — and the
-    // first snapshot is written only after the header. If no snapshot
-    // generation exists either, this is the wreckage of a crashed (or
-    // storage-faulted) NEW: nothing was ever observable, so re-creating
-    // fresh is exact. Any surviving snapshot alongside a headerless
-    // journal is real corruption and keeps the hard refusal.
-    bo::BoCheckpoint ignored;
-    if (load_snapshot(spath, ignored) == SnapLoad::Missing &&
-        load_snapshot(spath + ".old", ignored) == SnapLoad::Missing) {
-      core.start_fresh_journal();
-      s->snapshot();
-      return s;
-    }
-    throw io::CheckpointError("cannot resume: journal at " + jpath +
-                              " holds no intact header line");
-  }
-  const bo::JournalHeader header = bo::JournalHeader::parse(jr.payloads.front());
-  if (header.config_hash != core.config_hash()) {
-    throw io::CheckpointError(
-        "checkpoint config mismatch: journal " + jpath +
-        " was written with config fingerprint " +
-        io::json_u64(header.config_hash) +
-        " but this session is configured with fingerprint " +
-        io::json_u64(core.config_hash()) +
-        "; resuming would splice two different proposal streams");
-  }
-  std::vector<bo::JournalRecord> records;
-  records.reserve(jr.payloads.size() - 1);
-  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
-    bo::JournalRecord rec = bo::JournalRecord::parse(jr.payloads[i]);
-    if (rec.index != records.size()) {
-      throw io::CheckpointError(
-          "journal corrupted: line " + std::to_string(i + 1) + " of " +
-          jpath + " carries record index " + std::to_string(rec.index) +
-          " where " + std::to_string(records.size()) + " was expected");
-    }
-    records.push_back(std::move(rec));
-  }
-
+  const bo::CheckpointFiles files =
+      bo::read_checkpoint(checkpoint_base, core.config_hash());
   // Sessions write a snapshot inside create(), so a resumable session
-  // normally has one. A missing or torn "<base>.snapshot" is the
-  // signature of a crash (or injected fault) mid-replace; the previous
-  // generation "<base>.snapshot.old" plus the journal tail resumes to
-  // the exact same state (see snapshot()), so a half-written snapshot is
-  // never accepted and never fatal on its own. Only when neither
-  // generation is usable does resume give up — and if the journal holds
-  // no eval records, nothing beyond the pristine state was ever
-  // observable (a crash inside create()), so the session is recreated
-  // fresh rather than refused.
-  const std::string old_path = spath + ".old";
-  bo::BoCheckpoint snap;
-  const SnapLoad primary = load_snapshot(spath, snap);
-  bool from_fallback = false;
-  if (primary != SnapLoad::Ok) {
-    if (load_snapshot(old_path, snap) == SnapLoad::Ok) {
-      from_fallback = true;
-    } else if (records.empty()) {
-      core.reopen_journal(jr.valid_bytes, 0, 0);
-      // snapshot_valid_ is still false, so this first write does not
-      // rotate whatever damaged file sits at spath into the fallback.
-      s->snapshot();
-      return s;
-    } else {
-      throw io::CheckpointError(
-          "cannot resume session: snapshot " + spath + " is " +
-          (primary == SnapLoad::Missing ? "missing" : "damaged") +
-          " and no usable fallback snapshot exists at " + old_path);
-    }
-  }
-  const std::string used = from_fallback ? old_path : spath;
-  if (snap.config_hash != core.config_hash()) {
+  // normally has one, and the previous generation plus the journal tail
+  // resumes to the exact same state (see snapshot()). The journal only
+  // holds observes, so without any usable generation the records cannot
+  // be re-applied. A journal holding no records was never observed past
+  // the pristine state (a crash inside create()), and resumes to it.
+  if (files.generation == bo::SnapshotGeneration::None &&
+      !files.records.empty()) {
     throw io::CheckpointError(
-        "checkpoint config mismatch: snapshot " + used +
-        " was written with config fingerprint " +
-        io::json_u64(snap.config_hash) +
-        " but this session is configured with fingerprint " +
-        io::json_u64(core.config_hash()));
+        "cannot resume session: snapshot " +
+        bo::snapshot_file(checkpoint_base) + " is " +
+        (files.primary_damaged ? "damaged" : "missing") +
+        " and no usable fallback snapshot exists at " +
+        bo::fallback_snapshot_file(checkpoint_base));
   }
-  if (snap.journal_count > records.size()) {
-    throw io::CheckpointError(
-        "snapshot " + used + " absorbs " +
-        std::to_string(snap.journal_count) + " evaluations but journal " +
-        jpath + " holds only " + std::to_string(records.size()) +
-        " — the files do not belong to the same run");
-  }
+  core.restore_checkpoint(files);
+  s->now_ = files.snapshot.now;
+  // Rotate on the next snapshot only when the primary is known good: a
+  // resume off the fallback must not rotate the damaged primary over the
+  // very generation it just restored from.
+  s->snapshot_valid_ = files.generation == bo::SnapshotGeneration::Primary;
 
-  core.reopen_journal(jr.valid_bytes, records.size(), snap.journal_count);
-  core.restore_snapshot(snap, used);
-  s->now_ = snap.now;
-  // A resume off the fallback must not rotate the damaged primary over
-  // the very generation it just restored from.
-  s->snapshot_valid_ = !from_fallback;
-
-  // Because the session snapshots after every mutation, the tail is at
-  // most the one record of a crash between journal append and snapshot
-  // rename — but re-applying a longer tail is the same loop, so handle
-  // the general case. Replayed outcomes are already durable: observe()
-  // must not journal them again.
-  for (std::size_t i = snap.journal_count; i < records.size(); ++i) {
-    const bo::JournalRecord& rec = records[i];
-    if (rec.tag >= core.num_proposals() ||
-        core.pending_tags().count(rec.tag) == 0) {
-      throw io::CheckpointError(
-          "journal corrupted: record " + std::to_string(rec.index) +
-          " completes evaluation " + std::to_string(rec.tag) +
-          " which the restored session never had in flight");
-    }
-    if (!same_point(rec.x, core.proposal(rec.tag))) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " does not match this configuration's proposal stream "
-          "(evaluation " + std::to_string(rec.tag) +
-          " replays to a different point) — was the journal written by a "
-          "different configuration or code version?");
-    }
-    bo::Outcome o;
-    o.status = replay_status_from(rec.status, rec.index);
-    o.value = o.status == sched::EvalStatus::Ok
-                  ? rec.y
-                  : std::numeric_limits<double>::quiet_NaN();
-    o.attempts = rec.attempts;
-    o.worker = rec.worker;
-    o.start = rec.start;
-    o.finish = rec.finish;
-    o.error = rec.error;
-    o.replayed = true;
-    const bo::Observed ob = core.observe(rec.tag, o);
-    if (rec.action != ob.action) {
-      throw io::CheckpointError(
-          "journal record " + std::to_string(rec.index) +
-          " was applied as \"" + rec.action + "\" by the original session "
-          "but replays as \"" + ob.action +
-          "\" — the files and this build disagree on failure policy");
-    }
-    s->now_ = rec.finish;  // live observes tick the clock to their finish
+  // The tail is at most the one record of a crash between journal append
+  // and snapshot rename, but a longer one is the same loop.
+  for (std::size_t i = files.snapshot.journal_count;
+       i < files.records.size(); ++i) {
+    core.replay(files.records[i]);
+    s->now_ = files.records[i].finish;  // live observes tick to the finish
   }
-  // Re-snapshot when the tail advanced the state, and after a fallback
-  // resume (so the next resume finds an intact primary again).
-  if (records.size() > snap.journal_count || from_fallback) s->snapshot();
+  // Re-snapshot when the tail advanced the state, and whenever the
+  // primary was not used, so the next resume finds an intact one again.
+  if (files.records.size() > files.snapshot.journal_count ||
+      !s->snapshot_valid_) {
+    s->snapshot();
+  }
   return s;
 }
 
@@ -365,10 +216,10 @@ std::string Session::status_json() const {
 
 void Session::snapshot() {
   if (snapshot_valid_) {
-    const std::string spath =
-        bo::snapshot_file(core_.config().checkpoint_path);
+    const std::string& base = core_.config().checkpoint_path;
     try {
-      io::try_rename_file(spath, spath + ".old");
+      io::try_rename_file(bo::snapshot_file(base),
+                          bo::fallback_snapshot_file(base));
     } catch (const io::CheckpointError&) {
       // Rotation is defense in depth: a failed rotation leaves the
       // fallback one generation stale, which is still a valid resume

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "circuit/fault_injection.h"
@@ -65,6 +66,10 @@ struct AlgoCase {
   AcqKind acq;
   bool penalize;
 };
+
+// Print the case by name: gtest's default byte dump includes the name
+// pointer and padding, so test names would change between runs.
+void PrintTo(const AlgoCase& c, std::ostream* os) { *os << c.name; }
 
 class BatchAlgos : public ::testing::TestWithParam<AlgoCase> {};
 

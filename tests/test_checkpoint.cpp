@@ -17,8 +17,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,8 @@
 #include "circuit/testfunc.h"
 #include "common/rng.h"
 #include "io/journal.h"
+#include "serve/session.h"
+#include "serve/session_config.h"
 
 namespace easybo::bo {
 namespace {
@@ -550,80 +555,318 @@ TEST(Checkpointing, ResumeToleratesATornJournalTail) {
 // Refusal paths (golden messages documented in docs/checkpoint-format.md)
 // ---------------------------------------------------------------------------
 
-/// Expects resume() to throw a CheckpointError mentioning \p needle.
-void expect_resume_error(const BoConfig& cfg,
-                         const circuit::TestFunction& tf,
-                         const std::string& base,
-                         const std::string& needle) {
-  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
-  try {
-    engine.resume(base);
-    FAIL() << "resume was expected to refuse";
-  } catch (const io::CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "message: " << e.what();
+/// The two resume paths every refusal must hold for: the engine's and a
+/// served session's (both go through bo::read_checkpoint and
+/// AskTellCore::replay).
+enum class Resumer { Engine, Session };
+
+/// The configuration each resumer's files are written and resumed under.
+BoConfig refusal_config(Resumer who, std::uint64_t seed) {
+  if (who == Resumer::Engine) return quick(Mode::AsyncBatch, 4, seed);
+  BoConfig c = quick(Mode::Sequential, 1, seed);
+  c.init_points = 3;
+  c.on_eval_failure = EvalFailurePolicy::Discard;  // sessions never abort
+  return c;
+}
+
+/// Writes one run's files under a fresh base. The engine's run completes
+/// (its final snapshot absorbs every record). The session observes four
+/// evaluations, and its snapshot is put back to the one from before the
+/// last observe: the state a crash between that observe's journal append
+/// and its snapshot rewrite leaves, so resume replays one record.
+std::string write_run(Resumer who, std::uint64_t seed,
+                      const std::string& name) {
+  const auto tf = easybo::circuit::branin();
+  const std::string base = fresh_base(name);
+  std::remove(fallback_snapshot_file(base).c_str());
+  BoConfig cfg = refusal_config(who, seed);
+  if (who == Resumer::Engine) {
+    cfg.checkpoint_path = base;
+    (void)BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+    return base;
+  }
+  auto session = serve::Session::create("s", {cfg, tf.bounds}, base);
+  std::string before_last;
+  for (int turn = 0; turn < 4; ++turn) {
+    const Suggestion sg = session->suggest();
+    if (turn == 3) before_last = io::read_file(snapshot_file(base));
+    session->observe_ok(sg.tag, tf.fn(sg.x));
+  }
+  io::atomic_write_file(snapshot_file(base), before_last);
+  return base;
+}
+
+/// Rewrites the journal's last record through \p edit, re-framed so its
+/// checksum holds, and makes sure resume replays it: the engine's final
+/// snapshot absorbed it, so that snapshot goes (the whole journal then
+/// replays); the session's snapshot is already one record behind.
+void edit_last_record(Resumer who, const std::string& base,
+                      const std::function<void(JournalRecord&)>& edit) {
+  const std::string path = journal_file(base);
+  const io::JournalReadResult jr = io::read_journal(path);
+  std::string content;
+  for (std::size_t i = 0; i < jr.payloads.size(); ++i) {
+    std::string payload = jr.payloads[i];
+    if (i + 1 == jr.payloads.size()) {
+      JournalRecord rec = JournalRecord::parse(payload);
+      edit(rec);
+      payload = rec.to_payload();
+    }
+    content += io::frame_line(payload) + "\n";
+  }
+  io::atomic_write_file(path, content);
+  if (who == Resumer::Engine) std::remove(snapshot_file(base).c_str());
+}
+
+/// For each resumer: writes a run's files, applies \p damage, and expects
+/// resuming them under the seed \p resume_seed (0: the writing seed) to
+/// throw a CheckpointError mentioning \p needle (the golden messages of
+/// docs/checkpoint-format.md).
+void expect_resume_error(
+    const std::string& name, std::uint64_t seed,
+    const std::function<void(Resumer, const std::string&)>& damage,
+    const std::string& needle, std::uint64_t resume_seed = 0) {
+  const auto tf = easybo::circuit::branin();
+  for (const Resumer who : {Resumer::Engine, Resumer::Session}) {
+    const bool engine = who == Resumer::Engine;
+    SCOPED_TRACE(engine ? "BoEngine::resume" : "Session::resume");
+    const std::string base =
+        write_run(who, seed, name + (engine ? "_engine" : "_session"));
+    damage(who, base);
+    const BoConfig cfg =
+        refusal_config(who, resume_seed != 0 ? resume_seed : seed);
+    try {
+      if (engine) {
+        BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).resume(base);
+      } else {
+        serve::Session::resume("s", {cfg, tf.bounds}, base);
+      }
+      ADD_FAILURE() << "resume was expected to refuse";
+    } catch (const io::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "message: " << e.what();
+    }
   }
 }
 
 TEST(ResumeRefusal, MissingJournal) {
-  const auto tf = easybo::circuit::branin();
-  const BoConfig cfg = quick(Mode::AsyncBatch, 4, 91);
-  expect_resume_error(cfg, tf, fresh_base("missing"),
-                      "cannot resume: no journal at");
+  expect_resume_error(
+      "missing", 91,
+      [](Resumer, const std::string& base) {
+        std::remove(journal_file(base).c_str());
+      },
+      "cannot resume: no journal at");
 }
 
 TEST(ResumeRefusal, ConfigMismatch) {
-  const auto tf = easybo::circuit::branin();
-  BoConfig cfg = quick(Mode::AsyncBatch, 4, 101);
-  cfg.checkpoint_path = fresh_base("mismatch");
-  (void)BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
-
-  BoConfig other = cfg;
-  other.seed = 102;  // a different proposal stream
-  expect_resume_error(other, tf, cfg.checkpoint_path,
-                      "checkpoint config mismatch");
+  expect_resume_error(
+      "mismatch", 101, [](Resumer, const std::string&) {},
+      "checkpoint config mismatch", /*resume_seed=*/102);
 }
 
 TEST(ResumeRefusal, InteriorJournalCorruption) {
-  const auto tf = easybo::circuit::branin();
-  BoConfig cfg = quick(Mode::AsyncBatch, 4, 111);
-  cfg.checkpoint_path = fresh_base("interior");
-  (void)BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
-
   // Flip one payload byte in an interior line: a bad disk, not a torn
   // tail. The checksum catches it and resume refuses.
-  const std::string path = journal_file(cfg.checkpoint_path);
-  std::string content = io::read_file(path);
-  const std::size_t second_line = content.find('\n') + 1;
-  const std::size_t victim = second_line + 12;
-  ASSERT_LT(victim, content.size());
-  content[victim] = content[victim] == '0' ? '1' : '0';
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << content;
-  }
-  expect_resume_error(cfg, tf, cfg.checkpoint_path, "journal corrupted");
+  expect_resume_error(
+      "interior", 111,
+      [](Resumer, const std::string& base) {
+        const std::string path = journal_file(base);
+        std::string content = io::read_file(path);
+        const std::size_t second_line = content.find('\n') + 1;
+        const std::size_t victim = second_line + 12;
+        ASSERT_LT(victim, content.size());
+        content[victim] = content[victim] == '0' ? '1' : '0';
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << content;
+      },
+      "journal corrupted");
 }
 
 TEST(ResumeRefusal, SnapshotFromADifferentRun) {
-  const auto tf = easybo::circuit::branin();
-  BoConfig cfg = quick(Mode::AsyncBatch, 4, 121);
-  cfg.checkpoint_path = fresh_base("foreign_snap");
-  (void)BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  // Truncate the journal to fewer records than the snapshot has absorbed:
+  // the snapshot is now "ahead" of the journal, which can only happen
+  // when the files are not from the same run.
+  expect_resume_error(
+      "foreign_snap", 121,
+      [](Resumer, const std::string& base) {
+        const std::string path = journal_file(base);
+        const std::string content = io::read_file(path);
+        std::size_t pos = 0;
+        for (int lines = 0; lines < 2; ++lines) {
+          pos = content.find('\n', pos) + 1;
+        }
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << content.substr(0, pos);  // the header and one record
+      },
+      "do not belong to the same run");
+}
 
-  // Truncate the journal to fewer records than the final snapshot has
-  // absorbed: the snapshot is now "ahead" of the journal, which can only
-  // happen when the files are not from the same run.
-  const std::string path = journal_file(cfg.checkpoint_path);
+TEST(ResumeRefusal, ReplayedRecordAtAForeignPoint) {
+  expect_resume_error(
+      "foreign_point", 131,
+      [](Resumer who, const std::string& base) {
+        edit_last_record(who, base,
+                         [](JournalRecord& rec) { rec.x[0] += 0.25; });
+      },
+      "does not match this configuration's proposal stream");
+}
+
+TEST(ResumeRefusal, ReplayedRecordOfAnEvaluationNeverIssued) {
+  expect_resume_error(
+      "foreign_tag", 151,
+      [](Resumer who, const std::string& base) {
+        edit_last_record(who, base, [](JournalRecord& rec) { rec.tag = 999; });
+      },
+      "never issued or is no longer in flight");
+}
+
+TEST(ResumeRefusal, ReplayedRecordWithAnUnknownStatus) {
+  expect_resume_error(
+      "foreign_status", 161,
+      [](Resumer who, const std::string& base) {
+        edit_last_record(who, base,
+                         [](JournalRecord& rec) { rec.status = "melted"; });
+      },
+      "unknown eval status");
+}
+
+TEST(ResumeRefusal, ReplayedRecordWithAForeignAction) {
+  // The record is an ok outcome; every failure policy observes it, so a
+  // journaled "penalized" can only come from other files or another
+  // build.
+  expect_resume_error(
+      "foreign_action", 141,
+      [](Resumer who, const std::string& base) {
+        edit_last_record(who, base,
+                         [](JournalRecord& rec) { rec.action = "penalized"; });
+      },
+      "disagree on failure policy");
+}
+
+// A session falls back to the previous generation instead (and refuses
+// when that is gone too; tests/test_serve_faults.cpp), but an engine
+// never rotates one aside.
+TEST(ResumeRefusal, EngineRefusesADamagedSnapshot) {
+  const std::string base = write_run(Resumer::Engine, 171, "damaged_snap");
+  const std::string path = snapshot_file(base);
   const std::string content = io::read_file(path);
-  std::size_t pos = 0;
-  for (int lines = 0; lines < 4; ++lines) pos = content.find('\n', pos) + 1;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << content.substr(0, pos);
+  io::atomic_write_file(path, content.substr(0, content.size() / 2));
+  const auto tf = easybo::circuit::branin();
+  BoEngine engine(refusal_config(Resumer::Engine, 171), tf.bounds, tf.fn,
+                  varied_sim_time);
+  try {
+    engine.resume(base);
+    FAIL() << "resume was expected to refuse";
+  } catch (const io::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("is damaged"), std::string::npos)
+        << "message: " << e.what();
   }
-  expect_resume_error(cfg, tf, cfg.checkpoint_path,
-                      "do not belong to the same run");
+}
+
+// A journal without an intact header and without a snapshot is what a
+// crash before the header's fsync leaves: nothing was ever evaluated, so
+// resume starts the run afresh and reproduces it.
+TEST(Checkpointing, HeaderlessJournalWithoutSnapshotStartsAfresh) {
+  const auto tf = easybo::circuit::branin();
+  BoConfig cfg = quick(Mode::AsyncBatch, 4, 181);
+  cfg.checkpoint_path = fresh_base("headerless");
+  const BoResult ref =
+      BoEngine(cfg, tf.bounds, tf.fn, varied_sim_time).run();
+  std::remove(snapshot_file(cfg.checkpoint_path).c_str());
+  io::atomic_write_file(journal_file(cfg.checkpoint_path), "3c82de30 {\"sch");
+
+  BoEngine engine(cfg, tf.bounds, tf.fn, varied_sim_time);
+  const BoResult r = engine.resume(cfg.checkpoint_path);
+  expect_same_run(ref, r);
+  EXPECT_EQ(r.resume_note, "resumed from " + cfg.checkpoint_path +
+                               ": 0 evaluations restored, 0 replayed from "
+                               "the journal, 0 re-submitted");
+}
+
+// ---------------------------------------------------------------------------
+// Compatibility: files an earlier build wrote still resume
+// ---------------------------------------------------------------------------
+
+/// Copies the committed fixture base \p name (tests/golden/checkpoint_v1/,
+/// written by tests/tools/write_checkpoint_fixture.cpp) into a fresh temp
+/// dir, since resuming rewrites the files, and returns the copy's base.
+std::string fixture_copy(const std::string& name) {
+  namespace fs = std::filesystem;
+  const std::string src =
+      std::string(EASYBO_TESTS_GOLDEN_DIR) + "/checkpoint_v1/" + name;
+  const std::string dir = ::testing::TempDir() + "easybo_compat_" + name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const char* suffix :
+       {".config", ".journal", ".snapshot", ".snapshot.old"}) {
+    if (fs::exists(src + suffix)) {
+      fs::copy_file(src + suffix, dir + "/" + name + suffix);
+    }
+  }
+  return dir + "/" + name;
+}
+
+std::vector<JournalRecord> journal_records(const std::string& base) {
+  const io::JournalReadResult jr = io::read_journal(journal_file(base));
+  std::vector<JournalRecord> records;
+  for (std::size_t i = 1; i < jr.payloads.size(); ++i) {
+    records.push_back(JournalRecord::parse(jr.payloads[i]));
+  }
+  return records;
+}
+
+double max_y(const std::vector<JournalRecord>& records) {
+  double best = -std::numeric_limits<double>::infinity();
+  for (const JournalRecord& r : records) best = std::max(best, r.y);
+  return best;
+}
+
+// Every expectation below compares against values read from the files,
+// never against floating point re-derived by this build, so it holds in
+// every sanitizer configuration.
+
+TEST(CheckpointCompat, CompletedEngineRunResumes) {
+  const std::string base = fixture_copy("engine");
+  const serve::SessionSpec spec =
+      serve::parse_session_config(io::read_file(base + ".config"));
+  const std::vector<JournalRecord> records = journal_records(base);
+  ASSERT_EQ(records.size(), spec.config.max_sims);
+
+  BoEngine engine(spec.config, spec.bounds, circuit::branin().fn);
+  const BoResult r = engine.resume(base);
+  ASSERT_EQ(r.num_evals(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(r.evals[i].y, records[i].y) << "eval " << i;
+  }
+  EXPECT_EQ(r.best_y, max_y(records));
+  EXPECT_EQ(r.resume_note, "resumed from " + base + ": " +
+                               std::to_string(records.size()) +
+                               " evaluations restored, 0 replayed from the "
+                               "journal, 0 re-submitted");
+}
+
+TEST(CheckpointCompat, SessionOneRecordBehindItsJournalResumes) {
+  const std::string base = fixture_copy("session");
+  const serve::SessionSpec spec =
+      serve::parse_session_config(io::read_file(base + ".config"));
+  const std::vector<JournalRecord> records = journal_records(base);
+  const BoCheckpoint snap = BoCheckpoint::parse(
+      io::read_journal(snapshot_file(base)).payloads.at(0));
+  ASSERT_EQ(snap.journal_count + 1, records.size());  // the fixture's shape
+
+  const auto session = serve::Session::resume("session", spec, base);
+  const AskTellCore& core = session->core();
+  EXPECT_EQ(core.num_observations(), records.size());
+  EXPECT_EQ(core.issued(), snap.issued);
+  std::set<std::size_t> pending(snap.pending.begin(), snap.pending.end());
+  ASSERT_EQ(pending.erase(records.back().tag), 1u);
+  EXPECT_EQ(core.pending_tags(), pending);
+  EXPECT_EQ(core.best_y(), max_y(records));
+
+  // The replayed tail was folded into a fresh primary snapshot.
+  const BoCheckpoint after = BoCheckpoint::parse(
+      io::read_journal(snapshot_file(base)).payloads.at(0));
+  EXPECT_EQ(after.journal_count, records.size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "circuit/testfunc.h"
 #include "common/error.h"
@@ -138,6 +139,10 @@ struct NamedRunner {
   const char* name;
   Runner run;
 };
+
+// Print the case by name: gtest's default byte dump includes pointers,
+// so test names would change between runs.
+void PrintTo(const NamedRunner& r, std::ostream* os) { *os << r.name; }
 
 class OptimizerInvariants : public ::testing::TestWithParam<NamedRunner> {};
 

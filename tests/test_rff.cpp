@@ -311,11 +311,6 @@ TEST(RffConfig, BackendChangesTheFingerprint) {
   pinned.pin_hallucinated_mean = true;
   EXPECT_NE(bo::config_fingerprint(bo::BoConfig{}, tf.bounds),
             bo::config_fingerprint(pinned, tf.bounds));
-  // hallucinate_overlay is stream-invariant: deliberately NOT part of it.
-  bo::BoConfig copy_path;
-  copy_path.hallucinate_overlay = false;
-  EXPECT_EQ(bo::config_fingerprint(bo::BoConfig{}, tf.bounds),
-            bo::config_fingerprint(copy_path, tf.bounds));
 }
 
 // ---------------------------------------------------------------------------

@@ -353,13 +353,19 @@ TEST(ServeDeadline, QueueWaitCapShedsStaleRequests) {
 
   std::string slow_reply;
   std::thread slow_client([&] { slow_reply = host.handle_line("SUGGEST a"); });
-  // Wait until the slow SUGGEST occupies the single worker.
-  for (int spin = 0; spin < 2000; ++spin) {
-    if (host.handle_line("STATUS").find("\"inflight\":1") !=
-        std::string::npos) {
-      break;
-    }
-    std::this_thread::sleep_for(1ms);
+  // Wait until the slow SUGGEST runs on the single worker: only then does
+  // it hold a's session lock, which STATUS a reports as busy. (The
+  // host-wide in-flight count rises at admission, before the request is
+  // even queued, so b could still overtake it.)
+  bool a_running = false;
+  for (int spin = 0; spin < 2000 && !a_running; ++spin) {
+    a_running = host.handle_line("STATUS a").find("\"busy\":true") !=
+                std::string::npos;
+    if (!a_running) std::this_thread::sleep_for(1ms);
+  }
+  if (!a_running) {
+    slow_client.join();
+    FAIL() << "the slow SUGGEST never started on the worker";
   }
   // b's request sits queued behind a's 300ms sleep — far past the 50ms
   // cap — and is shed at dequeue without touching the session.
