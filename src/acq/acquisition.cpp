@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <utility>
 
 #include "common/error.h"
 
@@ -76,6 +78,28 @@ double WeightedUcb::operator()(const Vec& x) const {
   const double mu = mean_model_->predict(x).mean;
   const double sd = var_model_->predict(x).stddev();
   return (1.0 - w_) * mu + w_ * sd;
+}
+
+FeasibleEasyBo::FeasibleEasyBo(
+    const gp::Regressor* mean_model, const gp::Regressor* var_model,
+    double w, const std::vector<Vec>& observed,
+    std::vector<const gp::Regressor*> constraint_models)
+    : base_(mean_model, var_model, w),
+      floor_(std::numeric_limits<double>::infinity()),
+      constraint_models_(std::move(constraint_models)) {
+  for (const Vec& x : observed) {
+    const auto p = mean_model->predict(x);
+    floor_ = std::min(floor_, (1.0 - w) * p.mean + w * p.stddev());
+  }
+}
+
+double FeasibleEasyBo::operator()(const Vec& x) const {
+  double value = std::max(base_(x) - floor_, 0.0) + 1e-12;
+  for (const gp::Regressor* model : constraint_models_) {
+    const auto p = model->predict(x);
+    value *= norm_cdf(p.mean / std::max(p.stddev(), 1e-9));
+  }
+  return value;
 }
 
 Bucb::Bucb(const gp::Regressor* mean_model, const gp::Regressor* var_model,

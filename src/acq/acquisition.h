@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "gp/regressor.h"
@@ -86,6 +87,33 @@ class WeightedUcb final : public AcquisitionFn {
   const gp::Regressor* mean_model_;
   const gp::Regressor* var_model_;
   double w_;
+};
+
+/// Feasibility-weighted EasyBO for constrained runs (the paper's §II-A
+/// future work, in the form of Gardner et al., ICML'14):
+///   alpha(x) = [max(alpha_EasyBO(x, w) - floor, 0) + 1e-12]
+///              * prod_i Phi(mu_i(x) / sigma_i(x))
+/// with one raw-valued model per constraint g_i (feasible iff g_i >= 0).
+/// floor is the minimum of the unpenalized weighted term over the
+/// observed inputs: it keeps the term non-negative without reordering it,
+/// so the probability product acts as a pure down-weight (a negative
+/// utility times a small probability would otherwise reward
+/// infeasibility).
+class FeasibleEasyBo final : public AcquisitionFn {
+ public:
+  /// \param mean_model, var_model, w  as for WeightedUcb (Eq. 8/9)
+  /// \param observed                  the mean model's training inputs
+  /// \param constraint_models         one per constraint (not owned)
+  FeasibleEasyBo(const gp::Regressor* mean_model,
+                 const gp::Regressor* var_model, double w,
+                 const std::vector<Vec>& observed,
+                 std::vector<const gp::Regressor*> constraint_models);
+  double operator()(const Vec& x) const override;
+
+ private:
+  WeightedUcb base_;
+  double floor_;
+  std::vector<const gp::Regressor*> constraint_models_;
 };
 
 /// BUCB (Desautels et al., JMLR'14) batch acquisition: a plain UCB whose

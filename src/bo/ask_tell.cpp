@@ -32,8 +32,15 @@ std::size_t adaptive_refit_gap(double refit_seconds, double eval_seconds,
   return std::max(lo, static_cast<std::size_t>(gap));
 }
 
+double constraint_violation(const Vec& constraints) {
+  double acc = 0.0;
+  for (const double g : constraints) acc += std::max(-g, 0.0);
+  return acc;
+}
+
 AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
-                         std::function<double(const Vec&)> sim_time)
+                         std::function<double(const Vec&)> sim_time,
+                         std::size_t num_constraints)
     : cfg_(std::move(config)),
       bounds_(std::move(bounds)),
       sim_time_(std::move(sim_time)),
@@ -49,6 +56,20 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
     hc_penalties_.assign(cfg_.batch,
                          acq::HighCoveragePenalty(cfg_.hc_d, cfg_.hc_n));
   }
+  if (num_constraints > 0) {
+    EASYBO_REQUIRE(cfg_.acq == AcqKind::EasyBo,
+                   "constrained mode supports the EasyBO acquisition");
+    EASYBO_REQUIRE(cfg_.mode != Mode::SyncBatch,
+                   "constrained mode supports Sequential and AsyncBatch");
+    EASYBO_REQUIRE(cfg_.checkpoint_path.empty(),
+                   "checkpoint_path is not supported with constraints: the "
+                   "journal and snapshot formats hold no constraint values");
+    con_models_.reserve(num_constraints);
+    for (std::size_t i = 0; i < num_constraints; ++i) {
+      con_models_.emplace_back(make_kernel(cfg_, bounds_.dim()),
+                               /*noise_variance=*/1e-6);
+    }
+  }
   next_hyper_refit_ = cfg_.init_points;
   proposal_counter_ = std::string("bo.proposals.") + to_string(cfg_.acq);
   config_hash_ = config_fingerprint(cfg_, bounds_);
@@ -57,6 +78,7 @@ AskTellCore::AskTellCore(BoConfig config, opt::Bounds bounds,
 void AskTellCore::set_trace(obs::TraceSink* sink) {
   trace_ = sink;
   model_->set_trace(sink);
+  for (auto& m : con_models_) m.set_trace(sink);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +178,13 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
     throw Error("observe: evaluation " + std::to_string(tag) +
                 " is not pending (already observed, or never suggested)");
   }
+  if (o.status == sched::EvalStatus::Ok &&
+      o.constraints.size() != con_models_.size()) {
+    throw Error("observe: evaluation " + std::to_string(tag) + " carries " +
+                std::to_string(o.constraints.size()) +
+                " constraint values; this core models " +
+                std::to_string(con_models_.size()));
+  }
   pending_tags_.erase(it);
   const bool was_init_done = init_done_;
   const Vec& unit_x = prop_x_[tag];
@@ -181,6 +210,10 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
     obs_x_.push_back(unit_x);
     obs_y_.push_back(o.value);
     obs_is_init_.push_back(prop_init_[tag]);
+    if (!con_models_.empty()) {
+      obs_g_.push_back(o.constraints);
+      rec.constraints = o.constraints;
+    }
     rec.y = o.value;
     evals_.push_back(std::move(rec));
     ob.changed = true;
@@ -214,6 +247,18 @@ Observed AskTellCore::observe(std::size_t tag, const Outcome& o,
       obs_x_.push_back(unit_x);
       obs_y_.push_back(y_pen);
       obs_is_init_.push_back(prop_init_[tag]);
+      if (!con_models_.empty()) {
+        // The constraint analogue of the quantile: the lowest observed
+        // value of each constraint.
+        Vec g_pen = obs_g_.front();
+        for (const Vec& g : obs_g_) {
+          for (std::size_t i = 0; i < g.size(); ++i) {
+            g_pen[i] = std::min(g_pen[i], g[i]);
+          }
+        }
+        obs_g_.push_back(g_pen);
+        rec.constraints = std::move(g_pen);
+      }
       rec.y = y_pen;
       evals_.push_back(std::move(rec));
       ob.changed = true;
@@ -277,9 +322,10 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
     return propose_hedge(pending);
   }
 
-  // The hallucinated posterior / base acquisition (when used) must
+  // The hallucinated posteriors / base acquisition (when used) must
   // outlive the maximization.
   std::unique_ptr<gp::Regressor> hallucinated;
+  std::vector<std::unique_ptr<gp::Regressor>> con_overlays;
   std::unique_ptr<acq::AcquisitionFn> base_acq;
   std::unique_ptr<acq::AcquisitionFn> fn;
 
@@ -296,14 +342,27 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
       const double w = cfg_.uniform_w
                            ? rng_.uniform()
                            : acq::sample_easybo_weight(rng_, cfg_.lambda);
-      if (cfg_.penalize && !pending.empty()) {
-        hallucinated = hallucinate_pending(pending);
-        fn = std::make_unique<acq::WeightedUcb>(model_.get(),
-                                                hallucinated.get(), w);
-      } else {
-        fn = std::make_unique<acq::WeightedUcb>(model_.get(), model_.get(),
-                                                w);
+      const bool penalized = cfg_.penalize && !pending.empty();
+      if (penalized) hallucinated = hallucinate_pending(*model_, pending);
+      const gp::Regressor* var_model =
+          penalized ? hallucinated.get() : model_.get();
+      if (con_models_.empty()) {
+        fn = std::make_unique<acq::WeightedUcb>(model_.get(), var_model, w);
+        break;
       }
+      // Constrained: the constraint models see the pending points through
+      // the same overlay as the objective model.
+      std::vector<const gp::Regressor*> constraints;
+      for (const gp::GpRegressor& m : con_models_) {
+        if (penalized) {
+          con_overlays.push_back(hallucinate_pending(m, pending));
+          constraints.push_back(con_overlays.back().get());
+        } else {
+          constraints.push_back(&m);
+        }
+      }
+      fn = std::make_unique<acq::FeasibleEasyBo>(
+          model_.get(), var_model, w, obs_x_, std::move(constraints));
       break;
     }
     case AcqKind::Pbo: {
@@ -321,7 +380,7 @@ Vec AskTellCore::propose(const std::vector<Vec>& pending, std::size_t slot) {
     }
     case AcqKind::Bucb: {
       if (!pending.empty()) {
-        hallucinated = hallucinate_pending(pending);
+        hallucinated = hallucinate_pending(*model_, pending);
         fn = std::make_unique<acq::Bucb>(model_.get(), hallucinated.get(),
                                          cfg_.bucb_kappa);
       } else {
@@ -389,7 +448,7 @@ Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
 
   std::size_t pick;
   if (cfg_.penalize && !pending.empty()) {
-    const auto augmented = hallucinate_pending(pending);
+    const auto augmented = hallucinate_pending(*model_, pending);
     pick = acq::thompson_sample_argmax(*augmented, candidates, rng_);
   } else {
     pick = acq::thompson_sample_argmax(*model_, candidates, rng_);
@@ -398,8 +457,9 @@ Vec AskTellCore::propose_thompson(const std::vector<Vec>& pending) {
 }
 
 std::unique_ptr<gp::Regressor> AskTellCore::hallucinate_pending(
+    const gp::TrainableRegressor& model,
     const std::vector<Vec>& pending) const {
-  return model_->hallucinate(pending, cfg_.pin_hallucinated_mean);
+  return model.hallucinate(pending, cfg_.pin_hallucinated_mean);
 }
 
 Vec AskTellCore::propose_hedge(const std::vector<Vec>& pending) {
@@ -489,6 +549,11 @@ void AskTellCore::update_model(bool force_train) {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
     zscore_.refit(obs_y_);
     model_->set_data(obs_x_, zscore_.transform(obs_y_));
+    for (std::size_t i = 0; i < con_models_.size(); ++i) {
+      Vec gi(obs_g_.size());
+      for (std::size_t k = 0; k < obs_g_.size(); ++k) gi[k] = obs_g_[k][i];
+      con_models_[i].set_data(obs_x_, std::move(gi));
+    }
   }
 
   const bool train = force_train || obs_x_.size() >= next_hyper_refit_;
@@ -502,6 +567,9 @@ void AskTellCore::update_model(bool force_train) {
         gp::train_mle(*model_, rng_, cfg_.trainer, stop_);
       } else {
         train_model_via_proxy();
+      }
+      for (auto& m : con_models_) {
+        gp::train_mle(m, rng_, cfg_.trainer, stop_);
       }
     }
     obs::count(trace_, "bo.hyper_refit");
@@ -535,6 +603,7 @@ void AskTellCore::update_model(bool force_train) {
   } else {
     obs::ScopedTimer span(trace_, obs::Phase::ModelFit);
     model_->fit();
+    for (auto& m : con_models_) m.fit();
   }
 }
 
@@ -563,7 +632,23 @@ void AskTellCore::train_model_via_proxy() {
 
 std::size_t AskTellCore::incumbent_index() const {
   EASYBO_REQUIRE(!obs_y_.empty(), "incumbent of empty dataset");
-  return linalg::argmax(obs_y_);
+  if (con_models_.empty()) return linalg::argmax(obs_y_);
+  std::size_t best_feasible = obs_y_.size();
+  std::size_t least_bad = 0;
+  double best_y = -std::numeric_limits<double>::infinity();
+  double least_violation = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < obs_y_.size(); ++k) {
+    const double v = constraint_violation(obs_g_[k]);
+    if (v == 0.0 && obs_y_[k] > best_y) {
+      best_y = obs_y_[k];
+      best_feasible = k;
+    }
+    if (v < least_violation) {
+      least_violation = v;
+      least_bad = k;
+    }
+  }
+  return best_feasible < obs_y_.size() ? best_feasible : least_bad;
 }
 
 Vec AskTellCore::to_design(const Vec& unit_x) const {
@@ -576,6 +661,10 @@ Vec AskTellCore::best_x() const {
   return box_.from_unit(obs_x_[incumbent_index()]);
 }
 
+Vec AskTellCore::best_constraints() const {
+  return con_models_.empty() ? Vec{} : obs_g_[incumbent_index()];
+}
+
 // ---------------------------------------------------------------------------
 // Durability (docs/checkpoint-format.md)
 // ---------------------------------------------------------------------------
@@ -584,6 +673,8 @@ void AskTellCore::set_checkpoint_path(const std::string& path) {
   EASYBO_REQUIRE(!journal_.is_open(),
                  "AskTellCore: checkpoint path cannot change after "
                  "journaling started");
+  EASYBO_REQUIRE(con_models_.empty(),
+                 "checkpoint_path is not supported with constraints");
   cfg_.checkpoint_path = path;
 }
 

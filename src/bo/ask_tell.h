@@ -28,6 +28,14 @@
 /// dedup resample, a replayed checkpoint) stay distinct, and observing a
 /// tag twice is a loud error instead of silently erasing a neighbour.
 ///
+/// Constraints (the paper's §II-A future work) ride the same two calls: a
+/// core built with num_constraints > 0 expects every ok Outcome to carry
+/// that many constraint values (g_i >= 0 is feasible), keeps one
+/// raw-valued GP per constraint on the objective model's refit schedule
+/// and RNG stream, hallucinates them through the same overlay, proposes
+/// with acq::FeasibleEasyBo, and takes the best feasible observation (or
+/// the least-violating one) as its incumbent.
+///
 /// Determinism contract: given the same BoConfig/Bounds and the same
 /// interleaving of suggest/observe calls (same tags, same outcomes), the
 /// core produces a bit-identical proposal sequence — including across a
@@ -44,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "acq/acquisition.h"
 #include "acq/thompson.h"
 #include "bo/checkpoint.h"
 #include "bo/config.h"
@@ -79,6 +88,9 @@ struct Outcome {
   std::size_t worker = 0;        ///< worker slot attribution (bookkeeping)
   double start = 0.0;            ///< logical start time of the evaluation
   double finish = 0.0;           ///< logical finish time
+  /// Constraint values of an ok outcome, in constraint order: exactly
+  /// AskTellCore::num_constraints() of them (none for a plain core).
+  Vec constraints;
   std::string error;             ///< what() of the failure, when any
   std::exception_ptr exception;  ///< original exception (Abort rethrow)
   /// A journaled outcome re-enacted during resume replay: already durable,
@@ -118,6 +130,10 @@ std::size_t async_proposal_slot(const BoConfig& config, std::size_t tag);
 std::size_t adaptive_refit_gap(double refit_seconds, double eval_seconds,
                                double budget, std::size_t refit_every);
 
+/// Total violation of a constraint vector (the sum of its negative
+/// slacks); 0 exactly when every g_i >= 0.
+double constraint_violation(const Vec& constraints);
+
 /// The suggest/observe core. Construct with the same arguments BoEngine
 /// takes minus the objective (evaluating is the caller's job), then
 /// alternate suggest() and observe() in any order that respects the
@@ -129,8 +145,13 @@ class AskTellCore {
   /// \param bounds    design box (the core normalizes internally)
   /// \param sim_time  nominal duration model for Suggestion::duration;
   ///                  defaults to a constant 1s when null
+  /// \param num_constraints  constraint values each ok outcome carries;
+  ///                  > 0 requires the EasyBO acquisition, a mode other
+  ///                  than SyncBatch and no checkpoint_path (the journal
+  ///                  and snapshot formats hold no constraint values).
   AskTellCore(BoConfig config, opt::Bounds bounds,
-              std::function<double(const Vec&)> sim_time = nullptr);
+              std::function<double(const Vec&)> sim_time = nullptr,
+              std::size_t num_constraints = 0);
 
   /// Installs a non-owning trace sink (nullptr restores the zero-cost
   /// null default). Unlike BoEngine, the core never owns a recorder —
@@ -172,7 +193,8 @@ class AskTellCore {
   /// Absorbs the terminal outcome of suggestion \p tag: journals it
   /// (durable before applied), then records an observation (ok), or
   /// applies BoConfig::on_eval_failure — Abort rethrows the objective's
-  /// failure out of this call. Removes \p tag from the pending set (by
+  /// failure out of this call. A Penalize pseudo-observation records the
+  /// lowest observed value of each constraint. Removes \p tag from the pending set (by
   /// tag — see the header comment) and refreshes the model exactly when
   /// the engine's loops did: immediately in Sequential/AsyncBatch mode,
   /// at the in-flight-batch drain in SyncBatch mode, never while the
@@ -182,7 +204,8 @@ class AskTellCore {
   ///                  outcomes are journaled and recorded but no longer
   ///                  steer proposals).
   /// Throws easybo::Error when \p tag is not pending (already observed,
-  /// or never suggested).
+  /// or never suggested), or when an ok outcome does not carry exactly
+  /// num_constraints() constraint values.
   Observed observe(std::size_t tag, const Outcome& outcome,
                    bool draining = false);
 
@@ -203,6 +226,7 @@ class AskTellCore {
   std::size_t num_observations() const { return obs_x_.size(); }
   std::size_t num_proposals() const { return prop_x_.size(); }
   std::size_t hyper_refits() const { return hyper_refits_; }
+  std::size_t num_constraints() const { return con_models_.size(); }
 
   /// Suggested-but-unobserved tags, ascending (= suggestion order).
   const std::set<std::size_t>& pending_tags() const { return pending_tags_; }
@@ -223,6 +247,8 @@ class AskTellCore {
   bool has_observations() const { return !obs_x_.empty(); }
   double best_y() const;  ///< incumbent FOM; requires has_observations()
   Vec best_x() const;     ///< incumbent point, design space
+  /// Constraint values at the incumbent (empty for a plain core).
+  Vec best_constraints() const;
 
   /// Completed/failed evaluation records in observation order. Mutable so
   /// the engine's resume path can prepend the snapshot-absorbed prefix
@@ -290,9 +316,11 @@ class AskTellCore {
   Vec propose_hedge(const std::vector<Vec>& pending);
   Vec dedup(Vec x, const std::vector<Vec>& pending);
 
-  /// The penalization posterior over \p pending: a zero-copy overlay on
-  /// the model (gp::Regressor::hallucinate).
+  /// The penalization posterior of \p model (the objective model or a
+  /// constraint model) over \p pending: a zero-copy overlay
+  /// (gp::Regressor::hallucinate).
   std::unique_ptr<gp::Regressor> hallucinate_pending(
+      const gp::TrainableRegressor& model,
       const std::vector<Vec>& pending) const;
 
   void update_model(bool force_train);
@@ -302,6 +330,9 @@ class AskTellCore {
   /// most BoConfig::rff_train_subset observations (warm-started from the
   /// model's current hyperparameters) and transplant the result.
   void train_model_via_proxy();
+
+  /// Unconstrained: the best observation. Constrained: the best feasible
+  /// one, else the least-violating one.
   std::size_t incumbent_index() const;
 
   /// Re-opens an existing journal for appending, truncating a torn tail
@@ -332,6 +363,12 @@ class AskTellCore {
   std::vector<Vec> obs_x_;
   Vec obs_y_;
   std::vector<bool> obs_is_init_;
+
+  // Constraints: one raw-valued GP per constraint (no target scaling, so
+  // "g >= 0" keeps its meaning) and the constraint vector of every
+  // observation, parallel to obs_y_. Both empty for a plain core.
+  std::vector<gp::GpRegressor> con_models_;
+  std::vector<Vec> obs_g_;
 
   // Discarded failure locations (unit space), kept so dedup never
   // re-proposes a crashing point verbatim.

@@ -10,10 +10,16 @@ namespace easybo::bo {
 
 BoEngine::BoEngine(BoConfig config, opt::Bounds bounds,
                    opt::Objective objective,
-                   std::function<double(const Vec&)> sim_time)
-    : core_(std::move(config), std::move(bounds), std::move(sim_time)),
-      objective_(std::move(objective)) {
+                   std::function<double(const Vec&)> sim_time,
+                   std::vector<Constraint> constraints)
+    : core_(std::move(config), std::move(bounds), std::move(sim_time),
+            constraints.size()),
+      objective_(std::move(objective)),
+      constraints_(std::move(constraints)) {
   EASYBO_REQUIRE(static_cast<bool>(objective_), "BoEngine: null objective");
+  for (const Constraint& c : constraints_) {
+    EASYBO_REQUIRE(static_cast<bool>(c.fn), "null constraint function");
+  }
   if (cfg().collect_metrics) {
     owned_recorder_ = std::make_unique<obs::RecordingSink>();
     set_trace(owned_recorder_.get());
@@ -91,6 +97,7 @@ BoResult BoEngine::run(sched::Executor& exec) {
   if (core_.has_observations()) {
     result.best_x = core_.best_x();
     result.best_y = core_.best_y();
+    result.best_constraints = core_.best_constraints();
   }
   if (core_.journaling()) write_snapshot(sup);
   finalize_metrics(exec, result);
@@ -215,9 +222,19 @@ void BoEngine::submit(sched::EvalSupervisor& sup) {
   // The executor decides where and when the objective runs (eagerly for
   // virtual time, on a worker thread for real threads); the engine only
   // sees the outcome at observe time.
-  sup.submit(
-      s.tag, [obj = &objective_, x = std::move(s.x)] { return (*obj)(x); },
-      s.duration);
+  sup.submit(s.tag, make_work(std::move(s.x)), s.duration);
+}
+
+sched::Work BoEngine::make_work(Vec x) const {
+  if (constraints_.empty()) {
+    return [obj = &objective_, x = std::move(x)] { return (*obj)(x); };
+  }
+  return [obj = &objective_, cons = &constraints_, x = std::move(x)] {
+    sched::Evaluation e((*obj)(x));
+    e.constraints.reserve(cons->size());
+    for (const Constraint& c : *cons) e.constraints.push_back(c.fn(x));
+    return e;
+  };
 }
 
 void BoEngine::observe_next(sched::EvalSupervisor& sup, bool draining) {
@@ -236,8 +253,8 @@ void BoEngine::observe_next(sched::EvalSupervisor& sup, bool draining) {
     sup.replay_retries(rec.attempts);
     return;
   }
-  const sched::SupervisedCompletion sc = timed_wait(sup);
-  const sched::Completion& c = sc.completion;
+  sched::SupervisedCompletion sc = timed_wait(sup);
+  sched::Completion& c = sc.completion;
   if (trace_ != nullptr) {
     // Executor-clock duration: virtual seconds on a VirtualExecutor, wall
     // seconds on real threads; spans retries and backoff. Not a
@@ -252,6 +269,7 @@ void BoEngine::observe_next(sched::EvalSupervisor& sup, bool draining) {
   o.worker = c.worker;
   o.start = c.start;
   o.finish = c.finish;
+  o.constraints = std::move(c.constraints);
   o.error = sc.error;
   o.exception = sc.exception;
   if (restored_real_.erase(c.tag) != 0) {
@@ -280,12 +298,6 @@ void BoEngine::log_eval(const sched::SupervisedCompletion& sc,
 sched::SupervisedCompletion BoEngine::timed_wait(sched::EvalSupervisor& sup) {
   obs::ScopedTimer span(trace_, obs::Phase::ExecutorWait);
   return sup.wait_next();
-}
-
-std::vector<sched::SupervisedCompletion> BoEngine::timed_wait_all(
-    sched::EvalSupervisor& sup) {
-  obs::ScopedTimer span(trace_, obs::Phase::ExecutorWait);
-  return sup.wait_all();
 }
 
 // ---------------------------------------------------------------------------
@@ -364,11 +376,8 @@ void BoEngine::restore(sched::EvalSupervisor& sup) {
         duration = remaining;
       }
       restored_real_.insert(tag);
-      Vec x_design = core_.to_design(core_.proposal(tag));
-      sup.submit(
-          tag,
-          [obj = &objective_, x = std::move(x_design)] { return (*obj)(x); },
-          duration);
+      sup.submit(tag, make_work(core_.to_design(core_.proposal(tag))),
+                 duration);
       ++resubmitted;
     }
   }

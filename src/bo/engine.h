@@ -29,6 +29,7 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "bo/ask_tell.h"
 #include "bo/checkpoint.h"
@@ -41,6 +42,16 @@
 #include "sched/supervisor.h"
 
 namespace easybo::bo {
+
+/// One inequality constraint of a constrained run: feasible iff
+/// fn(x) >= 0. Express "metric >= spec" as fn = metric - spec, "metric <=
+/// spec" as fn = spec - metric. The engine evaluates every constraint
+/// right after the objective inside the same work item, so a throwing or
+/// non-finite constraint is an evaluation failure like the objective's.
+struct Constraint {
+  std::string name;
+  opt::Objective fn;
+};
 
 /// One optimization run of one algorithm configuration on one problem.
 ///
@@ -56,8 +67,11 @@ class BoEngine {
   /// \param objective  the FOM to maximize (paper Eq. 1)
   /// \param sim_time   virtual duration of one evaluation; defaults to a
   ///                   constant 1s when null (pure sample-efficiency runs)
+  /// \param constraints optional g_i(x) >= 0 constraints (AskTellCore's
+  ///                   constrained mode; see bo/constrained.h)
   BoEngine(BoConfig config, opt::Bounds bounds, opt::Objective objective,
-           std::function<double(const Vec&)> sim_time = nullptr);
+           std::function<double(const Vec&)> sim_time = nullptr,
+           std::vector<Constraint> constraints = {});
 
   /// Executes the full run on a VirtualExecutor with `batch` workers
   /// (one in Sequential mode). Call once per engine instance.
@@ -132,6 +146,10 @@ class BoEngine {
   /// and only the logical worker-slot accounting happens here.
   void submit(sched::EvalSupervisor& sup);
 
+  /// The work item evaluating the objective — and every constraint, when
+  /// there are any — at design point \p x.
+  sched::Work make_work(Vec x) const;
+
   /// Feeds the next terminal outcome into the core: the front of the
   /// replay queue while resume replay is in progress (AskTellCore::
   /// replay), else a real supervised completion (booking the
@@ -142,10 +160,8 @@ class BoEngine {
   /// Appends one entry to the per-eval outcome log (metrics "evals").
   void log_eval(const sched::SupervisedCompletion& sc, const char* action);
 
-  /// wait_next()/wait_all() wrapped in a Phase::ExecutorWait span.
+  /// wait_next() wrapped in a Phase::ExecutorWait span.
   sched::SupervisedCompletion timed_wait(sched::EvalSupervisor& sup);
-  std::vector<sched::SupervisedCompletion> timed_wait_all(
-      sched::EvalSupervisor& sup);
 
   // --- durability (checkpoint/resume; docs/checkpoint-format.md) --------
   bool stop_requested() const { return stop_token_.stop_requested(); }
@@ -209,6 +225,7 @@ class BoEngine {
 
   AskTellCore core_;
   opt::Objective objective_;
+  std::vector<Constraint> constraints_;
 
   // --- resume replay (engine-side: it shadows the EXECUTION timeline) ---
   // Journal tail to re-enact on resume, in original completion order,

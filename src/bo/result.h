@@ -27,12 +27,18 @@ struct EvalRecord {
   bool failed = false;   ///< evaluation failed after every retry
   /// Empty for ok evals; otherwise "exception"|"timeout"|"non_finite".
   std::string failure;
+  /// Constraint values of a constrained run (a Penalize pseudo-
+  /// observation records the lowest observed ones); empty otherwise.
+  Vec constraints;
 };
 
 /// Full result of one optimization run.
 struct BoResult {
   Vec best_x;
   double best_y = 0.0;
+  /// Constraint values at best_x, in constraint order; empty for an
+  /// unconstrained run.
+  Vec best_constraints;
   std::vector<EvalRecord> evals;  ///< in completion order
   double makespan = 0.0;          ///< virtual wall-clock of all simulation
   double total_sim_time = 0.0;    ///< sum of evaluation durations

@@ -1,11 +1,11 @@
-#include "serve/work_queue.h"
+#include "common/work_queue.h"
 
 #include <exception>
 #include <utility>
 
 #include "common/error.h"
 
-namespace easybo::serve {
+namespace easybo::common {
 
 bool WorkQueue::Task::wait_until(
     std::chrono::steady_clock::time_point until) {
@@ -103,7 +103,7 @@ void WorkQueue::worker_loop() {
     try {
       reply = task->fn_(task->token_, queued_seconds);
     } catch (const std::exception& e) {
-      // Defense in depth: SessionHost's closures catch everything
+      // Defense in depth: the callers' closures catch everything
       // themselves, but a worker thread must never die on a throw.
       reply = std::string("ERR ") + e.what();
     }
@@ -122,4 +122,4 @@ void WorkQueue::worker_loop() {
   }
 }
 
-}  // namespace easybo::serve
+}  // namespace easybo::common

@@ -1,14 +1,17 @@
 #pragma once
 /// \file work_queue.h
-/// \brief Bounded worker pool for deadline-bounded request execution.
+/// \brief The library's one worker pool: fixed workers behind a bounded
+/// admission queue.
 ///
-/// The serving problem this solves (docs/service-protocol.md
-/// § Deadlines): with session commands executed directly on connection
-/// threads, one slow SUGGEST (large n, exact GP, many restarts) occupies
-/// its connection for the duration and — worse — holds the per-session
-/// lock against eviction. The WorkQueue decouples the two: connection
-/// threads parse/validate and submit() a closure; a fixed pool of
-/// workers executes it (session lock acquisition included); the
+/// Two clients share it. sched::ThreadExecutor runs objective evaluations
+/// on it (capacity = workers, since the executor never submits more work
+/// than it has workers). serve::SessionHost runs SUGGEST/OBSERVE on it
+/// (docs/service-protocol.md § Deadlines): with session commands executed
+/// directly on connection threads, one slow SUGGEST (large n, exact GP,
+/// many restarts) occupies its connection for the duration and — worse —
+/// holds the per-session lock against eviction. The queue decouples the
+/// two: connection threads parse/validate and submit() a closure; a fixed
+/// pool of workers executes it (session lock acquisition included); the
 /// submitter waits on the task with its own deadline and can walk away
 /// (abandon()) while the worker keeps running to a safe checkpoint.
 ///
@@ -40,7 +43,7 @@
 
 #include "common/stop_token.h"
 
-namespace easybo::serve {
+namespace easybo::common {
 
 struct WorkQueueOptions {
   /// Worker threads executing tasks. Must be >= 1.
@@ -129,4 +132,4 @@ class WorkQueue {
   std::vector<std::thread> threads_;
 };
 
-}  // namespace easybo::serve
+}  // namespace easybo::common

@@ -16,8 +16,7 @@ std::vector<Completion> Executor::wait_all() {
 // VirtualExecutor
 // ---------------------------------------------------------------------------
 
-void VirtualExecutor::submit(std::size_t tag, std::function<double()> work,
-                             double duration) {
+void VirtualExecutor::submit(std::size_t tag, Work work, double duration) {
   const std::size_t job_id = sched_.submit(tag, duration);
   if (outcomes_.size() <= job_id) outcomes_.resize(job_id + 1);
   // Evaluate eagerly but deliver failures lazily: a throwing objective
@@ -25,7 +24,7 @@ void VirtualExecutor::submit(std::size_t tag, std::function<double()> work,
   // worker exceptions, so the engine sees one failure contract on both
   // backends.
   try {
-    outcomes_[job_id].value = work();
+    outcomes_[job_id].result = work();
   } catch (...) {
     outcomes_[job_id].error = std::current_exception();
   }
@@ -33,11 +32,12 @@ void VirtualExecutor::submit(std::size_t tag, std::function<double()> work,
 
 Completion VirtualExecutor::wait_next() {
   const JobRecord rec = sched_.wait_next();
-  const Outcome& out = outcomes_[rec.job_id];
+  Outcome& out = outcomes_[rec.job_id];
   if (out.error) std::rethrow_exception(out.error);
   Completion c;
   c.tag = rec.tag;
-  c.value = out.value;
+  c.value = out.result.value;
+  c.constraints = std::move(out.result.constraints);
   c.worker = rec.worker;
   c.start = rec.start;
   c.finish = rec.finish;
@@ -51,7 +51,7 @@ Completion VirtualExecutor::wait_next() {
 ThreadExecutor::ThreadExecutor(std::size_t num_threads)
     : t0_(std::chrono::steady_clock::now()),
       free_slot_count_(num_threads),
-      pool_(num_threads) {
+      pool_(common::WorkQueueOptions{num_threads, num_threads}) {
   free_slots_.resize(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) free_slots_[i] = i;
   busy_per_slot_.assign(num_threads, 0.0);
@@ -80,7 +80,7 @@ std::vector<double> ThreadExecutor::per_worker_busy() const {
   return busy_per_slot_;
 }
 
-void ThreadExecutor::submit(std::size_t tag, std::function<double()> work,
+void ThreadExecutor::submit(std::size_t tag, Work work,
                             double /*duration: real executors measure*/) {
   {
     std::lock_guard lock(mutex_);
@@ -88,7 +88,10 @@ void ThreadExecutor::submit(std::size_t tag, std::function<double()> work,
                    "submit with no idle worker");
     ++in_flight_;
   }
-  pool_.submit([this, tag, work = std::move(work)] {
+  // in_flight_ counts a task until its completion is consumed, so the
+  // queue never holds more than num_workers tasks and never refuses one.
+  pool_.submit([this, tag, work = std::move(work)](
+                   const common::StopToken&, double) -> std::string {
     std::size_t slot;
     {
       std::lock_guard lock(mutex_);
@@ -100,7 +103,9 @@ void ThreadExecutor::submit(std::size_t tag, std::function<double()> work,
     out.completion.worker = slot;
     out.completion.start = elapsed();
     try {
-      out.completion.value = work();
+      Evaluation result = work();
+      out.completion.value = result.value;
+      out.completion.constraints = std::move(result.constraints);
     } catch (...) {
       out.error = std::current_exception();
     }
@@ -114,7 +119,8 @@ void ThreadExecutor::submit(std::size_t tag, std::function<double()> work,
       done_.push_back(std::move(out));
     }
     cv_.notify_one();
-  });
+    return {};
+  }, common::StopToken());
 }
 
 Completion ThreadExecutor::wait_next() {

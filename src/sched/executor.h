@@ -13,6 +13,11 @@
 ///
 ///   while (exec.has_idle_worker()) exec.submit(tag, work, duration);
 ///   auto done = exec.wait_next();   // blocks; rethrows worker exceptions
+///
+/// A work item returns an Evaluation: the objective value plus the
+/// constraint values the same simulation produced (constrained runs). A
+/// plain `[] { return f(x); }` converts implicitly, so unconstrained
+/// callers never see the second field.
 
 #include <chrono>
 #include <condition_variable>
@@ -24,15 +29,32 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/work_queue.h"
 #include "sched/event_sim.h"
 
 namespace easybo::sched {
+
+/// What one work item produced. The constraint values travel with the
+/// attempt that computed them — through the executor, the supervisor's
+/// retries and its non-finite classification — never through a side
+/// table a retried or abandoned attempt could overwrite.
+struct Evaluation {
+  /// Implicit on purpose: a work item returning a plain double is an
+  /// Evaluation without constraints.
+  Evaluation(double v = 0.0) : value(v) {}
+
+  double value;
+  std::vector<double> constraints;  ///< in constraint order; empty if none
+};
+
+/// One unit of submitted work.
+using Work = std::function<Evaluation()>;
 
 /// One finished evaluation as seen by the algorithm.
 struct Completion {
   std::size_t tag = 0;     ///< caller-defined payload (proposal index)
   double value = 0.0;      ///< result of the submitted work
+  std::vector<double> constraints;  ///< Evaluation::constraints
   std::size_t worker = 0;  ///< worker slot that ran it
   double start = 0.0;      ///< seconds (virtual or wall) since run start
   double finish = 0.0;
@@ -50,8 +72,7 @@ class Executor {
   /// Starts \p work on an idle worker. \p duration is the job's virtual
   /// duration; real executors ignore it and measure wall clock instead.
   /// Throws InvalidArgument when no worker is idle.
-  virtual void submit(std::size_t tag, std::function<double()> work,
-                      double duration) = 0;
+  virtual void submit(std::size_t tag, Work work, double duration) = 0;
 
   /// Blocks until the earliest completion and returns it. When the work
   /// threw, the exception is rethrown HERE — the waiter owns failure
@@ -110,8 +131,7 @@ class VirtualExecutor final : public Executor {
 
   std::size_t num_workers() const override { return sched_.num_workers(); }
   std::size_t num_running() const override { return sched_.num_running(); }
-  void submit(std::size_t tag, std::function<double()> work,
-              double duration) override;
+  void submit(std::size_t tag, Work work, double duration) override;
   Completion wait_next() override;
   std::optional<Completion> try_wait_next(double /*timeout*/) override {
     return wait_next();  // virtual time never blocks for real
@@ -131,7 +151,7 @@ class VirtualExecutor final : public Executor {
 
  private:
   struct Outcome {
-    double value = 0.0;
+    Evaluation result;
     std::exception_ptr error;
   };
 
@@ -139,19 +159,20 @@ class VirtualExecutor final : public Executor {
   std::vector<Outcome> outcomes_;  // indexed by job id
 };
 
-/// Real-threads executor on the common ThreadPool. The objective runs on
-/// the worker thread (deferred, unlike VirtualExecutor), start/finish are
-/// wall-clock seconds since construction, and a throwing objective is
-/// delivered to wait_next() instead of being dropped with its future —
-/// dropping it would leave the proposer blocked forever.
+/// Real-threads executor on a common::WorkQueue with one worker per slot
+/// (capacity = workers: submit() refuses beyond the worker count, so the
+/// queue never holds more than that). The objective runs on the worker
+/// thread (deferred, unlike VirtualExecutor), start/finish are wall-clock
+/// seconds since construction, and a throwing objective is delivered to
+/// wait_next() instead of being dropped — dropping it would leave the
+/// proposer blocked forever.
 class ThreadExecutor final : public Executor {
  public:
   explicit ThreadExecutor(std::size_t num_threads);
 
   std::size_t num_workers() const override { return free_slot_count_; }
   std::size_t num_running() const override;
-  void submit(std::size_t tag, std::function<double()> work,
-              double duration) override;
+  void submit(std::size_t tag, Work work, double duration) override;
   Completion wait_next() override;
   std::optional<Completion> try_wait_next(double timeout_seconds) override;
   bool wall_clock() const override { return true; }
@@ -176,9 +197,9 @@ class ThreadExecutor final : public Executor {
   std::size_t in_flight_ = 0;
   double total_busy_ = 0.0;
   std::vector<double> busy_per_slot_;
-  // Last member: its destructor joins the workers while the state above
-  // (mutex, queues) is still alive — in-flight tasks touch both.
-  ThreadPool pool_;
+  // Last member: its destructor drains and joins the workers while the
+  // state above (mutex, queues) is still alive — in-flight tasks touch it.
+  common::WorkQueue pool_;
 };
 
 }  // namespace easybo::sched

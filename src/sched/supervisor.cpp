@@ -66,8 +66,7 @@ std::size_t EvalSupervisor::num_running() const {
   return exec_.num_running() - orphans_;
 }
 
-void EvalSupervisor::submit(std::size_t tag, std::function<double()> work,
-                            double duration) {
+void EvalSupervisor::submit(std::size_t tag, Work work, double duration) {
   Flight flight;
   flight.tag = tag;
   flight.work = std::move(work);
@@ -98,7 +97,7 @@ void EvalSupervisor::launch(Flight flight, double delay) {
   auto slot = flight.slot;
   auto inner = flight.work;  // retries resubmit it; keep the original
   auto wrapped = [inner = std::move(inner), slot,
-                  sleep_s]() -> double {
+                  sleep_s]() -> Evaluation {
     if (sleep_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
     }
@@ -124,6 +123,9 @@ EvalStatus EvalSupervisor::classify(const Flight& flight,
   if (flight.cut_at_deadline) return EvalStatus::Timeout;
   if (flight.slot->threw) return EvalStatus::Exception;
   if (!std::isfinite(c.value)) return EvalStatus::NonFinite;
+  for (const double g : c.constraints) {
+    if (!std::isfinite(g)) return EvalStatus::NonFinite;
+  }
   if (cfg_.timeout > 0.0 && exec_.wall_clock() &&
       c.finish > flight.deadline) {
     // The attempt beat the watchdog to the completion queue but still
@@ -182,7 +184,7 @@ SupervisedCompletion EvalSupervisor::wait_next() {
       copt = exec_.wait_next();
     }
 
-    const Completion c = *copt;
+    Completion c = std::move(*copt);
     auto it = inflight_.find(c.tag);
     EASYBO_REQUIRE(it != inflight_.end(),
                    "completion for an unsupervised job");
@@ -200,7 +202,7 @@ SupervisedCompletion EvalSupervisor::wait_next() {
     const EvalStatus status = classify(flight, c);
     if (status == EvalStatus::Ok) {
       SupervisedCompletion out;
-      out.completion = c;
+      out.completion = std::move(c);
       out.completion.tag = flight.tag;
       out.completion.start = flight.first_start;
       out.attempts = flight.attempt;
@@ -230,7 +232,7 @@ SupervisedCompletion EvalSupervisor::wait_next() {
     }
 
     SupervisedCompletion out;
-    out.completion = c;
+    out.completion = std::move(c);
     out.completion.tag = flight.tag;
     out.completion.start = flight.first_start;
     out.status = status;

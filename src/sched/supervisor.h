@@ -6,7 +6,8 @@
 /// unstable sizings; an async-batch BO loop built for heavy traffic has to
 /// survive those stragglers instead of dying with them (Alvi et al. 2019;
 /// Nomura 2020). EvalSupervisor wraps an Executor and classifies every
-/// evaluation into ok / exception / timeout / non-finite, enforces a
+/// evaluation into ok / exception / timeout / non-finite (a non-finite
+/// constraint value counts like a non-finite objective), enforces a
 /// per-attempt deadline, retries transient failures with capped
 /// exponential backoff + deterministic jitter, and on exhaustion reports a
 /// failed SupervisedCompletion instead of rethrowing.
@@ -142,8 +143,7 @@ class EvalSupervisor {
   /// Starts a supervised evaluation. \p tag and \p duration as in
   /// Executor::submit; retries re-submit the same work with the same
   /// duration (plus backoff).
-  void submit(std::size_t tag, std::function<double()> work,
-              double duration);
+  void submit(std::size_t tag, Work work, double duration);
 
   /// Blocks until the next supervised evaluation reaches a terminal
   /// outcome (retries happen internally) and returns it. Never rethrows
@@ -194,7 +194,7 @@ class EvalSupervisor {
   /// One in-flight attempt, keyed by the underlying executor tag.
   struct Flight {
     std::size_t tag = 0;       ///< caller's tag
-    std::function<double()> work;
+    Work work;
     double duration = 0.0;     ///< per-attempt virtual duration
     double first_start = 0.0;  ///< executor time of the first attempt
     double deadline = 0.0;     ///< absolute (wall watchdog only)

@@ -195,10 +195,10 @@ SessionHost::SessionHost(std::string state_dir, std::size_t max_live,
                 ": " + ec.message());
   }
   if (limits_.serve_workers > 0) {
-    WorkQueueOptions opt;
+    common::WorkQueueOptions opt;
     opt.workers = limits_.serve_workers;
     opt.capacity = limits_.queue_capacity;
-    queue_ = std::make_unique<WorkQueue>(opt);
+    queue_ = std::make_unique<common::WorkQueue>(opt);
   }
 }
 
@@ -559,7 +559,7 @@ std::string SessionHost::run_deadline(const std::string& line,
                         steady_dur(limits_.request_deadline_s);
   common::StopToken token;
   if (bounded) token = common::StopToken::after_deadline(deadline);
-  std::shared_ptr<WorkQueue::Task> task = queue_->submit(
+  std::shared_ptr<common::WorkQueue::Task> task = queue_->submit(
       [this, line](const common::StopToken& stop, double queued_seconds) {
         return run_pooled(line, stop, queued_seconds);
       },
@@ -577,10 +577,10 @@ std::string SessionHost::run_deadline(const std::string& line,
   const auto grace = steady_dur(limits_.watchdog_grace_s);
   if (task->wait_until(deadline + grace)) return task->take_reply();
   switch (task->abandon()) {
-    case WorkQueue::Abandon::Completed:
+    case common::WorkQueue::Abandon::Completed:
       // Finished in the race between the timeout and the abandon.
       return task->take_reply();
-    case WorkQueue::Abandon::Queued:
+    case common::WorkQueue::Abandon::Queued:
       // Never reached a worker within deadline + grace; the worker will
       // discard it unrun, so nothing was attempted, let alone committed.
       note_deadline_cut();
@@ -588,7 +588,7 @@ std::string SessionHost::run_deadline(const std::string& line,
                       ": request expired in the admission queue (nothing "
                       "was attempted; retry in " +
                       std::to_string(retry_hint_ms()) + "ms)");
-    case WorkQueue::Abandon::Running:
+    case common::WorkQueue::Abandon::Running:
       // The computation ignored its token past the grace period. Poison
       // the slot now (so other commands refuse instead of queueing on
       // the runaway's lock); the quarantine lands when it returns. The

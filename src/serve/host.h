@@ -97,7 +97,7 @@
 #include "obs/stream.h"
 #include "obs/trace.h"
 #include "serve/session.h"
-#include "serve/work_queue.h"
+#include "common/work_queue.h"
 
 namespace easybo::serve {
 
@@ -382,7 +382,7 @@ class SessionHost {
 
   /// Present only in pool mode (serve_workers > 0). Declared LAST so it
   /// is destroyed FIRST: workers touch every member above during drain.
-  std::unique_ptr<WorkQueue> queue_;
+  std::unique_ptr<common::WorkQueue> queue_;
 };
 
 }  // namespace easybo::serve

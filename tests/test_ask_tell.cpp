@@ -287,6 +287,23 @@ TEST(AskTellCoreTest, ObserveRejectsUnknownAndNonPendingTags) {
   EXPECT_THROW(core.observe(s.tag, ok_outcome(1.0)), Error);  // not pending
 }
 
+TEST(AskTellCoreTest, ObserveRejectsAConstraintCountMismatch) {
+  const auto tf = circuit::sphere(2);
+  auto cfg = quick(Mode::Sequential, 1, 9);
+  cfg.init_points = 2;
+  Outcome with_g = ok_outcome(1.0);
+  with_g.constraints = {0.5};
+
+  AskTellCore plain(cfg, tf.bounds);
+  EXPECT_THROW(plain.observe(plain.suggest().tag, with_g), Error);
+
+  AskTellCore constrained(cfg, tf.bounds, nullptr, /*num_constraints=*/1);
+  const Suggestion s = constrained.suggest();
+  EXPECT_THROW(constrained.observe(s.tag, ok_outcome(1.0)), Error);
+  constrained.observe(s.tag, with_g);  // the refusal left it pending
+  EXPECT_EQ(constrained.best_constraints(), Vec{0.5});
+}
+
 TEST(AskTellCoreTest, SuggestGuardsBudgetAndInFlightInitDesign) {
   const auto tf = circuit::sphere(2);
   auto cfg = quick(Mode::AsyncBatch, 2, 11);

@@ -31,6 +31,7 @@
 #include "io/journal.h"
 #include "serve/session.h"
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::bo {
 namespace {
@@ -65,7 +66,7 @@ double varied_sim_time(const Vec& x) {
 /// Checkpoint base under the test temp dir, with any files from a
 /// previous run of the same test removed.
 std::string fresh_base(const std::string& name) {
-  const std::string base = ::testing::TempDir() + "easybo_ckpt_" + name;
+  const std::string base = test_temp_path("easybo_ckpt_" + name);
   std::remove(journal_file(base).c_str());
   std::remove(snapshot_file(base).c_str());
   return base;
@@ -146,7 +147,7 @@ TEST(JournalFraming, RoundTripAndCorruptionDetection) {
 }
 
 TEST(JournalFraming, TornTailIsToleratedInteriorDamageIsNot) {
-  const std::string path = ::testing::TempDir() + "easybo_torn.journal";
+  const std::string path = test_temp_path("easybo_torn.journal");
   const std::string a = io::frame_line("alpha") + "\n";
   const std::string b = io::frame_line("beta") + "\n";
   {
@@ -424,9 +425,15 @@ TEST(Checkpointing, KillAndResumeOnThreadExecutorSequential) {
   const auto tf = easybo::circuit::branin();
   const BoConfig cfg = quick(Mode::Sequential, 1, 51);
 
-  sched::ThreadExecutor ref_exec(1);
-  BoEngine ref_engine(cfg, tf.bounds, tf.fn, nullptr);
-  const BoResult ref = ref_engine.run(ref_exec);
+  BoResult ref;
+  {
+    // Scoped so the reference executor's worker is joined before fork():
+    // a child forked from a multi-threaded process may not start threads
+    // of its own under ThreadSanitizer.
+    sched::ThreadExecutor ref_exec(1);
+    BoEngine ref_engine(cfg, tf.bounds, tf.fn, nullptr);
+    ref = ref_engine.run(ref_exec);
+  }
 
   const std::string base = fresh_base("kill_threads");
   const pid_t pid = fork();
@@ -794,7 +801,7 @@ std::string fixture_copy(const std::string& name) {
   namespace fs = std::filesystem;
   const std::string src =
       std::string(EASYBO_TESTS_GOLDEN_DIR) + "/checkpoint_v1/" + name;
-  const std::string dir = ::testing::TempDir() + "easybo_compat_" + name;
+  const std::string dir = test_temp_path("easybo_compat_" + name);
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (const char* suffix :

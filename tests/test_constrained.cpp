@@ -5,11 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bo/engine.h"
 #include "circuit/testfunc.h"
 #include "common/error.h"
+#include "sched/executor.h"
+#include "test_temp_dir.h"
 
 namespace easybo::bo {
 namespace {
@@ -120,6 +129,128 @@ TEST(ConstrainedBo, RejectsBadSetups) {
   EXPECT_THROW(
       run_constrained_bo(quick_config(8), bounds, objective, null_con),
       InvalidArgument);
+  // The journal and snapshot formats hold no constraint values.
+  auto durable = quick_config(13);
+  durable.checkpoint_path = test_temp_path("easybo_constrained");
+  EXPECT_THROW(run_constrained_bo(durable, bounds, objective, cons),
+               InvalidArgument);
+}
+
+// A failing constraint is an evaluation failure: the supervisor classifies
+// it and on_eval_failure handles it exactly like a failing objective.
+struct ConstraintFault {
+  const char* name;
+  double (*fault)();  ///< what the constraint does on its faulty call
+  const char* failure;
+  const char* counter;
+};
+
+// Print the case by name: gtest's default byte dump includes pointers,
+// so test names would change between runs.
+void PrintTo(const ConstraintFault& c, std::ostream* os) { *os << c.name; }
+
+class ConstraintFailure : public ::testing::TestWithParam<ConstraintFault> {};
+
+TEST_P(ConstraintFailure, IsDiscardedLikeAnObjectiveFailure) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  auto calls = std::make_shared<int>(0);
+  const auto fault = GetParam().fault;
+  std::vector<Constraint> cons = {
+      {"sum<=1", [calls, fault](const linalg::Vec& x) {
+         if (++*calls == 15) return fault();
+         return 1.0 - x[0] - x[1];
+       }}};
+  auto cfg = quick_config(14);
+  cfg.max_sims = 30;
+  cfg.on_eval_failure = EvalFailurePolicy::Discard;
+  cfg.collect_metrics = true;
+
+  const auto r = run_constrained_bo(cfg, bounds, objective, cons);
+  ASSERT_EQ(r.num_evals(), cfg.max_sims);
+  std::size_t failed = 0;
+  for (const auto& e : r.evals) {
+    if (!e.failed) continue;
+    ++failed;
+    EXPECT_EQ(e.failure, GetParam().failure);
+    EXPECT_TRUE(std::isnan(e.y));
+    EXPECT_TRUE(e.constraints.empty());
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(r.metrics.counter(GetParam().counter), 1u);
+  EXPECT_EQ(r.metrics.counter("eval.discarded"), 1u);
+  EXPECT_TRUE(r.found_feasible);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConstrainedBo, ConstraintFailure,
+    ::testing::Values(
+        ConstraintFault{"Throws",
+                        []() -> double {
+                          throw std::runtime_error("constraint crashed");
+                        },
+                        "exception", "eval.exceptions"},
+        ConstraintFault{"NaN",
+                        [] { return std::numeric_limits<double>::quiet_NaN(); },
+                        "non_finite", "eval.nonfinite"}),
+    [](const ::testing::TestParamInfo<ConstraintFault>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ConstrainedBo, PenalizeRecordsTheLowestObservedConstraintValues) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  auto calls = std::make_shared<int>(0);
+  std::vector<Constraint> cons = {
+      {"sum<=1",
+       [calls](const linalg::Vec& x) {
+         if (++*calls == 20) throw std::runtime_error("constraint crashed");
+         return 1.0 - x[0] - x[1];
+       }},
+      {"x0>=0.2", [](const linalg::Vec& x) { return x[0] - 0.2; }}};
+  auto cfg = quick_config(15);
+  cfg.max_sims = 30;
+  cfg.on_eval_failure = EvalFailurePolicy::Penalize;
+
+  const auto r = run_constrained_bo(cfg, bounds, objective, cons);
+  ASSERT_EQ(r.num_evals(), cfg.max_sims);
+  std::size_t penalized = 0;
+  for (std::size_t i = 0; i < r.evals.size(); ++i) {
+    if (!r.evals[i].failed) continue;
+    ++penalized;
+    // The pseudo-observation's constraint row is the column-wise minimum
+    // over everything observed before it.
+    linalg::Vec lowest(cons.size(), std::numeric_limits<double>::infinity());
+    for (std::size_t k = 0; k < i; ++k) {
+      for (std::size_t c = 0; c < cons.size(); ++c) {
+        lowest[c] = std::min(lowest[c], r.evals[k].constraints[c]);
+      }
+    }
+    EXPECT_EQ(r.evals[i].constraints, lowest);
+  }
+  EXPECT_EQ(penalized, 1u);
+  ASSERT_TRUE(r.found_feasible);
+  EXPECT_GE(r.best_constraints[0], 0.0);
+  EXPECT_GE(r.best_constraints[1], 0.0);
+}
+
+TEST(ConstrainedBo, EngineRunsOnAThreadExecutor) {
+  opt::Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  auto objective = [](const linalg::Vec& x) { return x[0] + x[1]; };
+  std::vector<Constraint> cons = {
+      {"sum<=1", [](const linalg::Vec& x) { return 1.0 - x[0] - x[1]; }}};
+  auto cfg = quick_config(16);
+  cfg.max_sims = 30;
+  sched::ThreadExecutor exec(2);
+  BoEngine engine(cfg, bounds, objective, nullptr, cons);
+  const auto r = engine.run(exec);
+  ASSERT_EQ(r.num_evals(), cfg.max_sims);
+  for (const auto& e : r.evals) {
+    ASSERT_EQ(e.constraints.size(), 1u);
+    EXPECT_DOUBLE_EQ(e.constraints[0], 1.0 - e.x[0] - e.x[1]);
+  }
+  ASSERT_EQ(r.best_constraints.size(), 1u);
+  EXPECT_GE(r.best_constraints[0], 0.0);
 }
 
 TEST(ConstrainedBo, DeterministicForFixedSeed) {

@@ -13,12 +13,13 @@
 #include <string>
 
 #include "io/journal.h"
+#include "test_temp_dir.h"
 
 namespace easybo::io {
 namespace {
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_fsfault_" + name;
+  const std::string dir = test_temp_path("easybo_fsfault_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -21,6 +21,7 @@
 #include "gp/kernel.h"
 #include "io/journal.h"
 #include "obs/recording.h"
+#include "test_temp_dir.h"
 
 namespace easybo {
 namespace {
@@ -369,7 +370,7 @@ TEST(RffEngine, ResumeRefusesABackendSwap) {
   bo::BoConfig cfg = rff_engine_cfg(7);
   cfg.gp_backend = "exact";  // run (and checkpoint) on the exact backend
   cfg.max_sims = 20;
-  cfg.checkpoint_path = ::testing::TempDir() + "easybo_rff_swap";
+  cfg.checkpoint_path = test_temp_path("easybo_rff_swap");
   std::remove(bo::journal_file(cfg.checkpoint_path).c_str());
   std::remove(bo::snapshot_file(cfg.checkpoint_path).c_str());
   (void)bo::BoEngine(cfg, tf.bounds, tf.fn).run();

@@ -19,6 +19,7 @@
 #include "io/journal.h"
 #include "io/json.h"
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -27,7 +28,7 @@ using linalg::Vec;
 
 /// Fresh per-test state directory under the gtest temp dir.
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_serve_" + name;
+  const std::string dir = test_temp_path("easybo_serve_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -19,6 +19,7 @@
 #include "obs/recording.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -26,7 +27,7 @@ namespace {
 using linalg::Vec;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_conc_" + name;
+  const std::string dir = test_temp_path("easybo_conc_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -25,6 +25,7 @@
 #include "serve/host.h"
 #include "serve/session.h"
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -33,7 +34,7 @@ using linalg::Vec;
 using namespace std::chrono_literals;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_deadline_" + name;
+  const std::string dir = test_temp_path("easybo_deadline_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

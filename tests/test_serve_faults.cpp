@@ -20,6 +20,7 @@
 #include "io/json.h"
 #include "serve/host.h"
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::serve {
 namespace {
@@ -27,7 +28,7 @@ namespace {
 using linalg::Vec;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_faults_" + name;
+  const std::string dir = test_temp_path("easybo_faults_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

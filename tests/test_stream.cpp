@@ -32,12 +32,13 @@
 #include "common/rng.h"
 #include "obs/online_stats.h"
 #include "obs/recording.h"
+#include "test_temp_dir.h"
 
 namespace easybo::obs {
 namespace {
 
 std::string temp_stream(const std::string& name) {
-  return ::testing::TempDir() + "easybo_stream_" + name + ".jsonl";
+  return test_temp_path("easybo_stream_" + name + ".jsonl");
 }
 
 std::vector<std::string> read_lines(const std::string& path) {

@@ -152,6 +152,13 @@ TEST(EvalSupervisor, ClassifiesNonFiniteValues) {
   sup.submit(1, [] { return std::numeric_limits<double>::infinity(); },
              1.0);
   EXPECT_EQ(sup.wait_next().status, EvalStatus::NonFinite);
+  // A constraint value of the same evaluation counts like the objective.
+  sup.submit(2, [] {
+    Evaluation e(1.0);
+    e.constraints = {0.5, std::numeric_limits<double>::quiet_NaN()};
+    return e;
+  }, 1.0);
+  EXPECT_EQ(sup.wait_next().status, EvalStatus::NonFinite);
 }
 
 TEST(EvalSupervisor, TransientFailureRecoversWithinRetryBudget) {

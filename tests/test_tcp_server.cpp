@@ -23,12 +23,13 @@
 #include <vector>
 
 #include "serve/session_config.h"
+#include "test_temp_dir.h"
 
 namespace easybo::serve {
 namespace {
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "easybo_tcp_" + name;
+  const std::string dir = test_temp_path("easybo_tcp_" + name);
   std::filesystem::remove_all(dir);
   return dir;
 }

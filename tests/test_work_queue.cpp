@@ -1,4 +1,4 @@
-// serve::WorkQueue: bounded admission, queued-time reporting, the
+// common::WorkQueue: bounded admission, queued-time reporting, the
 // Completed/Queued/Running abandonment classification the deadline
 // watchdog depends on, and drain-on-destroy (a no-deadline submitter is
 // never stranded). The queue moves opaque closures; everything
@@ -17,9 +17,9 @@
 #include <thread>
 #include <vector>
 
-#include "serve/work_queue.h"
+#include "common/work_queue.h"
 
-namespace easybo::serve {
+namespace easybo::common {
 namespace {
 
 using namespace std::chrono_literals;
@@ -280,6 +280,31 @@ TEST(WorkQueue, DestructorDrainsQueuedTasks) {
   }
 }
 
+TEST(WorkQueue, RunsManyTasksExactlyOnce) {
+  // sched::ThreadExecutor's shape: capacity equal to the worker count,
+  // every slot refilled as soon as a task completes.
+  WorkQueueOptions opt;
+  opt.workers = 4;
+  opt.capacity = 4;
+  WorkQueue q(opt);
+  EXPECT_EQ(q.workers(), 4u);
+  std::atomic<int> counter{0};
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::shared_ptr<WorkQueue::Task>> tasks;
+    for (int i = 0; i < 4; ++i) {
+      tasks.push_back(q.submit(
+          [&counter](const common::StopToken&, double) {
+            counter.fetch_add(1);
+            return std::string();
+          },
+          common::StopToken{}));
+      ASSERT_NE(tasks.back(), nullptr);
+    }
+    for (auto& t : tasks) t->wait();
+  }
+  EXPECT_EQ(counter.load(), 200);
+}
+
 TEST(WorkQueue, SubmitAfterShutdownIsRefused) {
   // Exercised through a second queue whose workers are already gone is
   // impossible from outside (the destructor blocks), so pin the
@@ -293,4 +318,4 @@ TEST(WorkQueue, SubmitAfterShutdownIsRefused) {
 }
 
 }  // namespace
-}  // namespace easybo::serve
+}  // namespace easybo::common
